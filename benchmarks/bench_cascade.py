@@ -25,11 +25,8 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     "src"))
 
-from repro.cascade.bench import (
-    DEFAULT_THRESHOLDS,
-    run_benchmark,
-    write_cascade_report,
-)
+from repro.cascade.bench import DEFAULT_THRESHOLDS, run_benchmark
+from repro.cascade.report import CASCADE_REPORT
 from repro.detectors.bench import DEFAULT_SEEDS
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -89,7 +86,7 @@ def main(argv=None) -> int:
     report = run_benchmark(thresholds=thresholds, seeds=seeds,
                            quick=args.quick)
     _print_report(report)
-    write_cascade_report(args.output, report)
+    CASCADE_REPORT.write(args.output, report)
     print(f"\nwrote {args.output}")
     return 0
 

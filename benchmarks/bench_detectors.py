@@ -33,9 +33,9 @@ from repro.detectors.bench import (
     DEFAULT_SEEDS,
     extended_scenario_matrix,
     run_benchmark,
-    write_detectors_report,
 )
 from repro.detectors import zoo
+from repro.detectors.report import DETECTORS_REPORT
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_OUTPUT = os.path.join(_REPO_ROOT, "BENCH_detectors.json")
@@ -90,7 +90,7 @@ def main(argv=None) -> int:
                            scenarios=extended_scenario_matrix(args.quick),
                            seeds=seeds, quick=args.quick)
     _print_report(report)
-    write_detectors_report(args.output, report)
+    DETECTORS_REPORT.write(args.output, report)
     print(f"\nwrote {args.output}")
     return 0
 

@@ -58,13 +58,13 @@ from repro.core.selection.msbi import MSBI, MSBIConfig
 from repro.core.selection.registry import ModelBundle, ModelRegistry
 from repro.nn.vae import VAE, VAEConfig
 from repro.parallel import (
+    BENCH_REPORT,
     BENCH_SCHEMA_VERSION,
     BatchedFeatureExtractor,
     FleetExecutor,
     FleetTask,
     plan_shards,
     stream_seed,
-    write_bench_report,
 )
 
 DIM = 8
@@ -450,7 +450,7 @@ def main(argv=None) -> int:
                            batch_size=args.batch_size,
                            workers=args.workers, quick=args.quick)
     _print_report(report)
-    write_bench_report(args.output, report)
+    BENCH_REPORT.write(args.output, report)
     print(f"\nwrote {args.output}")
     return 0
 

@@ -44,6 +44,7 @@ sys.path.insert(
 
 from repro.serve import (
     DEGRADED_FRAME_OPS,
+    SERVE_REPORT,
     DriftServer,
     SchedulerConfig,
     ServeConfig,
@@ -53,7 +54,6 @@ from repro.serve import (
     capacity_fps,
     frame_cost_ms,
     generate_arrivals,
-    write_serve_report,
 )
 from repro.testing import gaussian_stream, make_pipeline, result_sig
 
@@ -216,7 +216,7 @@ def main(argv=None) -> int:
                            frames_per_stream=args.frames,
                            quick=args.quick)
     _print_report(report)
-    write_serve_report(args.output, report)
+    SERVE_REPORT.write(args.output, report)
     print(f"\nwrote {args.output}")
     return 0
 

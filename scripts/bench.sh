@@ -52,8 +52,8 @@ case "$subcommand" in
             --output "$smoke_dir/serve_smoke.json" > /dev/null
         PYTHONPATH=src python - "$smoke_dir/serve_smoke.json" <<'PY'
 import sys
-from repro.serve import load_serve_report
-report = load_serve_report(sys.argv[1])
+from repro.serve import SERVE_REPORT
+report = SERVE_REPORT.load(sys.argv[1])
 assert report["quick"], "smoke pass must be flagged quick"
 capacity = report["capacity_fps"]
 saturated = [e for e in report["sweep"] if e["offered_load"] >= 1.0]
@@ -84,8 +84,8 @@ PY
             --output "$smoke_dir/fleet_smoke.json" > /dev/null
         PYTHONPATH=src python - "$smoke_dir/fleet_smoke.json" <<'PY'
 import sys
-from repro.parallel import load_bench_report
-report = load_bench_report(sys.argv[1])
+from repro.parallel import BENCH_REPORT
+report = BENCH_REPORT.load(sys.argv[1])
 assert report["quick"], "smoke pass must be flagged quick"
 batched = report["modes"]["batched"]["speedup_vs_sequential"]
 assert batched > 1.0, f"batched kernel lost to sequential: {batched}x"
@@ -118,8 +118,8 @@ PY
             --output "$smoke_dir/cascade_smoke.json" > /dev/null
         PYTHONPATH=src python - "$smoke_dir/cascade_smoke.json" <<'PY'
 import sys
-from repro.cascade import frontier_summary, load_cascade_report
-report = load_cascade_report(sys.argv[1])
+from repro.cascade import CASCADE_REPORT, frontier_summary
+report = CASCADE_REPORT.load(sys.argv[1])
 assert report["quick"], "smoke pass must be flagged quick"
 summary = frontier_summary(report)
 cascade = summary[report["default_mode"]]

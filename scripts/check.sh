@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Repo health check: byte-compile the library, run the tier-1 suite (with
-# slowest-test timings), the chaos/fault suite, an optional coverage floor,
-# an examples smoke pass, and benchmark/schema smoke passes.  Run from the
-# repo root:  bash scripts/check.sh
+# slowest-test timings), the chaos/fault suite, the e2e benchmark harness's
+# own tests, an optional coverage floor, an examples smoke pass, and
+# benchmark/schema smoke passes.  Run from the repo root:
+#   bash scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,6 +21,12 @@ python -m pytest -x -q --durations=10
 echo "== chaos suite =="
 python -m pytest -x -q tests/faults
 
+echo "== e2e benchmark harness =="
+# a smoke run of every wall-clock workload through the streaming API, with
+# the outside-in tracer wrapping each method its SITES table names: fails
+# when a src change renames a traced method or breaks the workloads
+python -m pytest -q benchmarks/e2e
+
 echo "== coverage floor (repro.core + repro.parallel + repro.serve) =="
 if python -c "import coverage" >/dev/null 2>&1; then
     python -m coverage run --branch \
@@ -33,29 +40,29 @@ fi
 echo "== telemetry schema =="
 # the committed golden snapshot must satisfy the telemetry contract ...
 python - <<'PY'
-from repro.obs import load_telemetry
-summary = load_telemetry("tests/golden/pipeline_telemetry.json")
+from repro.obs import TELEMETRY_SUMMARY
+summary = TELEMETRY_SUMMARY.load("tests/golden/pipeline_telemetry.json")
 events = summary["events"]
 print(f"golden telemetry valid ({events['logical']} logical / "
       f"{events['timing']} timing events)")
 PY
 # ... and a live instrumented run must still emit a valid summary
 python - <<'PY'
-from repro.obs import Recorder, validate_telemetry
+from repro.obs import TELEMETRY_SUMMARY, Recorder
 from repro.testing import gaussian_stream, make_pipeline
 
 pipeline = make_pipeline(seed=0, recorder=Recorder())
 result = pipeline.process(gaussian_stream(31, [(0.0, 60), (6.0, 60)]))
-validate_telemetry(result.telemetry["summary"])
+TELEMETRY_SUMMARY.validate(result.telemetry["summary"])
 print("live telemetry summary OK")
 PY
 
 echo "== serve schema =="
 # both committed serving documents must satisfy the SERVE_SCHEMA contract
 python - <<'PY'
-from repro.serve import load_serve_report
-golden = load_serve_report("tests/golden/serve_slo.json")
-report = load_serve_report("BENCH_serve.json")
+from repro.serve import SERVE_REPORT
+golden = SERVE_REPORT.load("tests/golden/serve_slo.json")
+report = SERVE_REPORT.load("BENCH_serve.json")
 overload = report["sweep"][-1]["totals"]
 print(f"serve reports valid (golden + BENCH_serve.json: "
       f"{overload['throughput_fps']:.1f} fps at "
@@ -68,9 +75,9 @@ echo "== detectors smoke =="
 # actually score the zoo: >= 6 detectors, each carrying the three accuracy
 # metrics for every scenario of the matrix
 python - <<'PY'
-from repro.detectors.report import load_detectors_report
+from repro.detectors.report import DETECTORS_REPORT
 
-report = load_detectors_report("BENCH_detectors.json")
+report = DETECTORS_REPORT.load("BENCH_detectors.json")
 detectors = report["detectors"]
 scenarios = set(report["scenarios"])
 assert len(detectors) >= 6, (
@@ -122,8 +129,8 @@ echo "== scenarios smoke =="
 # ground-truth document must satisfy SCENARIO_SCHEMA
 python - <<'PY'
 from repro.scenarios import (
-    WorkloadCoupling, builtin_scripts, compile_features, compile_video,
-    compile_workload, get_script, script_document, validate_scenario_document)
+    SCENARIO_DOCUMENT, WorkloadCoupling, builtin_scripts, compile_features,
+    compile_video, compile_workload, get_script, script_document)
 
 for name in sorted(builtin_scripts()):
     script = get_script(name)
@@ -133,7 +140,7 @@ for name in sorted(builtin_scripts()):
     assert len(features.frames) == script.frames, name
     assert sum(s.length for s in video.segments) == script.frames, name
     assert workload.pieces[0][0] == 0.0, name
-    validate_scenario_document(script_document(script))
+    SCENARIO_DOCUMENT.validate(script_document(script))
 print(f"{len(builtin_scripts())} built-in scripts compile to "
       f"feature / pixel / workload backends and validate")
 PY
@@ -141,9 +148,9 @@ echo "== cascade smoke =="
 # the committed cascade frontier must satisfy CASCADE_SCHEMA and its
 # headline mode must hold the ISSUE bars against the always-on ceiling
 python - <<'PY'
-from repro.cascade import frontier_summary, load_cascade_report
+from repro.cascade import CASCADE_REPORT, frontier_summary
 
-report = load_cascade_report("BENCH_cascade.json")
+report = CASCADE_REPORT.load("BENCH_cascade.json")
 assert not report["quick"], "the committed frontier must be the full run"
 summary = frontier_summary(report)
 cascade = summary[report["default_mode"]]
@@ -175,8 +182,8 @@ echo "== bench reports =="
 # the committed pipeline report must satisfy the schema (v2, with the
 # fleet scaling sweep) ...
 python - <<'PY'
-from repro.parallel import BENCH_SCHEMA_VERSION, load_bench_report
-report = load_bench_report("BENCH_pipeline.json")
+from repro.parallel import BENCH_REPORT, BENCH_SCHEMA_VERSION
+report = BENCH_REPORT.load("BENCH_pipeline.json")
 assert report["schema_version"] == BENCH_SCHEMA_VERSION
 batched = report["modes"]["batched"]
 assert report["scaling"], "committed report must carry the scaling sweep"
@@ -192,8 +199,8 @@ bash scripts/bench.sh --quick --output "$smoke_dir/bench_smoke.json" \
     || { cat "$smoke_dir/bench_smoke.log"; exit 1; }
 python - "$smoke_dir/bench_smoke.json" <<'PY'
 import sys
-from repro.parallel import load_bench_report
-report = load_bench_report(sys.argv[1])
+from repro.parallel import BENCH_REPORT
+report = BENCH_REPORT.load(sys.argv[1])
 assert report["quick"], "smoke pass must be flagged quick"
 print("pipeline bench smoke pass OK")
 PY

@@ -73,7 +73,6 @@ class OdinDetect:
         self._temp_counter = 0
         self._frame_index = 0
         self._drift_frame: Optional[int] = None
-        self.decisions: List[OdinDecision] = []
 
     # ------------------------------------------------------------------
     @property
@@ -125,7 +124,6 @@ class OdinDetect:
                                 assigned_cluster=assigned, drift=False)
         if assigned is None:
             decision = self._handle_unassigned(embedding, decision)
-        self.decisions.append(decision)
         self._frame_index += 1
         return decision
 
@@ -193,8 +191,7 @@ class OdinDetect:
     # the snapshot exists for checkpoint/restore and crash recovery.
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Capture detection state; per-frame ``decisions`` are
-        diagnostics, not state, and are not included."""
+        """Capture detection state."""
         return {
             "frame_index": self._frame_index,
             "drift_frame": self._drift_frame,
@@ -216,4 +213,3 @@ class OdinDetect:
                          for entry in state["clusters"]]
         temp = state["temp"]
         self.temp = None if temp is None else OdinCluster.from_state(temp)
-        self.decisions = []

@@ -12,8 +12,8 @@ hysteresis cooldown -- decides which frames pay the tier-1 price.
 The accuracy/cost frontier benchmark lives in :mod:`repro.cascade.bench`
 (deliberately not imported here: it reaches the detector zoo and the
 shared fixtures, and eager import would put every cascade consumer
-downstream of both).  The ``BENCH_cascade.json`` contract lives in
-:mod:`repro.cascade.report`.
+downstream of both).  The ``BENCH_cascade.json`` contract
+(:data:`CASCADE_REPORT`) lives in :mod:`repro.cascade.report`.
 """
 
 from repro.cascade.monitor import (
@@ -24,11 +24,9 @@ from repro.cascade.monitor import (
     EscalationPolicy,
 )
 from repro.cascade.report import (
+    CASCADE_REPORT,
     CASCADE_SCHEMA,
     frontier_summary,
-    load_cascade_report,
-    validate_cascade_report,
-    write_cascade_report,
 )
 
 __all__ = [
@@ -37,9 +35,7 @@ __all__ = [
     "EscalationPolicy",
     "TIER0_OPS",
     "TIER1_OPS",
+    "CASCADE_REPORT",
     "CASCADE_SCHEMA",
     "frontier_summary",
-    "validate_cascade_report",
-    "write_cascade_report",
-    "load_cascade_report",
 ]

@@ -13,7 +13,8 @@ tests pin) on the detector benchmark's scenario matrix:
   Inspector fed only escalated windows.
 
 Accuracy cells reuse the detector benchmark's metrics (detection delay
-and false alarms against each scenario's onset).  Cost cells come from
+and false alarms against each scenario's onset, scored by the same
+:func:`~repro.detectors.bench.score_detections`).  Cost cells come from
 the cascade's escalation counters -- recorded through a live
 :class:`~repro.obs.Recorder` shared by the pipeline and the cascade, so
 the counts survive monitor rebuilds on model swaps and roll back with
@@ -34,9 +35,13 @@ from repro.cascade.monitor import (
     CascadeMonitor,
     EscalationPolicy,
 )
-from repro.cascade.report import write_cascade_report  # noqa: F401
 from repro.detectors import zoo
-from repro.detectors.bench import DEFAULT_SEEDS, Scenario, scenario_matrix
+from repro.detectors.bench import (
+    DEFAULT_SEEDS,
+    Scenario,
+    scenario_matrix,
+    score_detections,
+)
 from repro.errors import CascadeError
 from repro.obs import Recorder
 from repro.sim.costs import PAPER_COSTS
@@ -121,15 +126,8 @@ def score_run(mode: CascadeMode, scenario: Scenario, seed: int) -> dict:
                              monitor_factory=_monitor_factory(mode,
                                                               recorder))
     result = pipeline.process_batched(frames)
-    indices = sorted(event.frame_index for event in result.detections)
-    onset = scenario.onset
-    if onset is None:
-        false_alarms = len(indices)
-        delay = None
-    else:
-        false_alarms = sum(1 for index in indices if index < onset)
-        post = [index for index in indices if index >= onset]
-        delay = post[0] - onset if post else None
+    delay, false_alarms = score_detections(
+        [event.frame_index for event in result.detections], scenario.onset)
     if mode.kind == "cascade":
         observed = recorder.counter("cascade.frames").value
         escalated = recorder.counter("cascade.escalated_frames").value

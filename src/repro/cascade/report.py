@@ -3,11 +3,11 @@
 ``benchmarks/bench_cascade.py`` scores the tiered cascade against the
 always-on Drift Inspector and the tier-0 screen alone across the
 detector benchmark's scenario matrix, sweeping the escalation threshold,
-and writes one document in this shape.  Like the perf, serving and
-detector reports it is validated with the shared dependency-free
-:mod:`repro.obs.schema` walker (plus a ``jsonschema`` cross-check when
-that package is importable) and committed to the repo, so
-``scripts/check.sh`` can diff frontier regressions in review.
+and writes one document in this shape through :data:`CASCADE_REPORT`, a
+:class:`~repro.obs.schema.Contract` over :data:`CASCADE_SCHEMA` whose
+check also requires ``default_mode`` to name a scored mode.  The
+document is committed to the repo, so ``scripts/check.sh`` can diff
+frontier regressions in review.
 
 Per mode x scenario the report carries the accuracy/cost cell:
 
@@ -27,10 +27,8 @@ Per mode x scenario the report carries the accuracy/cost cell:
 
 from __future__ import annotations
 
-import json
-
-from repro.errors import CascadeReportError
-from repro.obs.schema import cross_check, validate_document
+from repro.errors import ReportError
+from repro.obs.schema import Contract
 
 _CELL = {
     "type": "object",
@@ -92,39 +90,15 @@ CASCADE_SCHEMA = {
 }
 
 
-def validate_cascade_report(report: object) -> None:
-    """Raise :class:`CascadeReportError` unless ``report`` satisfies
-    :data:`CASCADE_SCHEMA`; cross-checks with ``jsonschema`` when
-    available."""
-    validate_document(report, CASCADE_SCHEMA, "cascade report",
-                      CascadeReportError)
-    cross_check(report, CASCADE_SCHEMA, "cascade report",
-                CascadeReportError)
+def _check_default_mode(report: dict) -> None:
     if report["default_mode"] not in report["modes"]:
-        raise CascadeReportError(
+        raise ReportError(
             f"default_mode {report['default_mode']!r} is not one of the "
             f"scored modes {sorted(report['modes'])}")
 
 
-def write_cascade_report(path: str, report: dict) -> None:
-    """Validate ``report`` and write it to ``path`` as formatted JSON."""
-    validate_cascade_report(report)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def load_cascade_report(path: str) -> dict:
-    """Read and validate a report written by
-    :func:`write_cascade_report`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            report = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise CascadeReportError(
-                f"cascade report {path} is not valid JSON: {exc}") from exc
-    validate_cascade_report(report)
-    return report
+CASCADE_REPORT = Contract(CASCADE_SCHEMA, "cascade report", ReportError,
+                          check=_check_default_mode)
 
 
 def frontier_summary(report: dict) -> dict:

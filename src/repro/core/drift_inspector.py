@@ -151,7 +151,6 @@ class DriftInspector:
         self._c_frames = self.obs.counter("di.frames_observed")
         self._h_pvalue = self.obs.histogram("di.p_value", DEFAULT_P_BUCKETS)
         self._frame_index = 0
-        self.decisions: List[DriftDecision] = []
         self._drift_frame: Optional[int] = None
 
     # ------------------------------------------------------------------
@@ -291,7 +290,6 @@ class DriftInspector:
                                  martingale=state.value, drift=drift)
         if drift and self._drift_frame is None:
             self._drift_frame = self._frame_index
-        self.decisions.append(decision)
         self._frame_index += 1
         return decision
 
@@ -368,7 +366,6 @@ class DriftInspector:
             if drift and self._drift_frame is None:
                 self._drift_frame = decision.frame_index
             decisions.append(decision)
-        self.decisions.extend(decisions)
         self._frame_index += n
         return decisions
 
@@ -403,8 +400,7 @@ class DriftInspector:
         drift flag, martingale internals and both RNG streams (tie-breaking
         uniforms and posterior-sampling).  The reference sample / scores are
         *configuration* -- they are rebuilt from the deployed bundle on
-        restore -- and per-frame ``decisions`` are diagnostics, not state,
-        so neither is included.
+        restore -- so they are not included.
         """
         return {"frame_index": self._frame_index,
                 "drift_frame": self._drift_frame,
@@ -421,7 +417,6 @@ class DriftInspector:
         self.martingale.load_state_dict(state["martingale"])
         self._pvalue.set_rng_state(state["pvalue_rng"])
         self._embed_rng.bit_generator.state = state["embed_rng"]
-        self.decisions = []
 
     def reset(self, reference: Optional[np.ndarray] = None,
               reference_scores: Optional[np.ndarray] = None) -> None:
@@ -452,4 +447,3 @@ class DriftInspector:
         self.martingale = self._build_martingale()
         self._drift_frame = None
         self._frame_index = 0
-        self.decisions = []

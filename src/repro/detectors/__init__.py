@@ -14,7 +14,7 @@
   :class:`~repro.runtime.protocols.DriftMonitor` factories backing the
   kernel's ``monitor_factory`` hook.
 - :mod:`repro.detectors.report` -- the ``BENCH_detectors.json`` accuracy
-  contract (``DETECTORS_SCHEMA``) and its read/write helpers.
+  schema (``DETECTORS_SCHEMA``) and its contract (``DETECTORS_REPORT``).
 - :mod:`repro.detectors.bench` -- the scenario-matrix benchmark harness
   scoring every zoo entry on delay / false alarms / MTBFA.
 """

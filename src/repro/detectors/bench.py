@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.detectors import zoo
-from repro.detectors.report import write_detectors_report  # noqa: F401
 from repro.errors import DetectorZooError
 from repro.scenarios import (
     DriftScript,
@@ -150,6 +149,24 @@ def extended_scenario_matrix(quick: bool = False) -> Dict[str, Scenario]:
     return matrix
 
 
+def score_detections(indices: Sequence[int], onset: Optional[int]
+                     ) -> Tuple[Optional[int], int]:
+    """Score one run's detection frame indices against its drift onset.
+
+    Returns ``(delay, false_alarms)``: ``delay`` counts the frames from
+    ``onset`` to the first detection at or after it (``None`` when the
+    drift was never caught, and on a stationary run, whose ``onset`` is
+    ``None``); ``false_alarms`` counts the detections strictly before the
+    onset -- every detection of a stationary run.  Both benchmarks score
+    with this one definition.
+    """
+    if onset is None:
+        return None, len(indices)
+    post = [index for index in indices if index >= onset]
+    delay = min(post) - onset if post else None
+    return delay, len(indices) - len(post)
+
+
 def score_run(detector: str, scenario: Scenario, seed: int) -> dict:
     """Drive one detector through the kernel on one scenario seed.
 
@@ -163,15 +180,9 @@ def score_run(detector: str, scenario: Scenario, seed: int) -> dict:
     frames = gaussian_stream(seed, list(scenario.segments))
     pipeline = make_pipeline(seed, monitor_factory=zoo.factory(detector))
     result = pipeline.process_batched(frames)
-    indices = sorted(event.frame_index for event in result.detections)
     onset = scenario.onset
-    if onset is None:
-        false_alarms = len(indices)
-        delay = None
-    else:
-        false_alarms = sum(1 for index in indices if index < onset)
-        post = [index for index in indices if index >= onset]
-        delay = post[0] - onset if post else None
+    delay, false_alarms = score_detections(
+        [event.frame_index for event in result.detections], onset)
     pre_frames = scenario.frames if onset is None else onset
     run = {"delay": delay, "false_alarms": false_alarms,
            "pre_frames": pre_frames}

@@ -2,11 +2,10 @@
 
 ``benchmarks/bench_detectors.py`` scores every detector registered in the
 :mod:`~repro.detectors.zoo` on the scenario matrix and writes one document
-in this shape.  Like the perf, telemetry and serving reports it is
-validated with the shared dependency-free :mod:`repro.obs.schema` walker
-(plus a ``jsonschema`` cross-check when that package is importable) and
-committed to the repo, so `scripts/check.sh` can diff detector accuracy
-regressions the same way it diffs latency regressions.
+in this shape through :data:`DETECTORS_REPORT`, a
+:class:`~repro.obs.schema.Contract` over :data:`DETECTORS_SCHEMA`.  The
+document is committed to the repo, so `scripts/check.sh` can diff
+detector accuracy regressions the same way it diffs latency regressions.
 
 Per detector x scenario the report carries three standard drift-detection
 accuracy metrics, each averaged over the scenario's seeds:
@@ -38,10 +37,8 @@ report is reproducible bit for bit on any machine.
 
 from __future__ import annotations
 
-import json
-
-from repro.errors import DetectorReportError
-from repro.obs.schema import cross_check, validate_document
+from repro.errors import ReportError
+from repro.obs.schema import Contract
 
 _METRICS_ENTRY = {
     "type": "object",
@@ -105,32 +102,5 @@ DETECTORS_SCHEMA = {
 }
 
 
-def validate_detectors_report(report: object) -> None:
-    """Raise :class:`DetectorReportError` unless ``report`` satisfies
-    :data:`DETECTORS_SCHEMA`; cross-checks with ``jsonschema`` when
-    available."""
-    validate_document(report, DETECTORS_SCHEMA, "detectors report",
-                      DetectorReportError)
-    cross_check(report, DETECTORS_SCHEMA, "detectors report",
-                DetectorReportError)
-
-
-def write_detectors_report(path: str, report: dict) -> None:
-    """Validate ``report`` and write it to ``path`` as formatted JSON."""
-    validate_detectors_report(report)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def load_detectors_report(path: str) -> dict:
-    """Read and validate a report written by
-    :func:`write_detectors_report`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            report = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DetectorReportError(
-                f"detectors report {path} is not valid JSON: {exc}") from exc
-    validate_detectors_report(report)
-    return report
+DETECTORS_REPORT = Contract(DETECTORS_SCHEMA, "detectors report",
+                            ReportError)

@@ -50,8 +50,9 @@ class FleetError(ReproError):
     error, or a crashed task exhausted its restart budget."""
 
 
-class BenchReportError(ReproError):
-    """A benchmark report violates the BENCH_pipeline.json schema."""
+class ReportError(ReproError):
+    """A committed report (``BENCH_*.json``) violates its schema, or a
+    report statistic was asked for an invalid parameter."""
 
 
 class TelemetryError(ReproError):
@@ -64,19 +65,10 @@ class ServeError(ReproError):
     unknown stream, out-of-order arrival timestamps)."""
 
 
-class ServeReportError(ReproError):
-    """A serving SLO report violates the BENCH_serve.json schema."""
-
-
 class DetectorZooError(ReproError):
     """The drift-detector zoo registry was misused (duplicate registration,
     unknown detector name, or a factory that builds a non-conforming
     monitor)."""
-
-
-class DetectorReportError(ReproError):
-    """A detector-accuracy report violates the BENCH_detectors.json
-    schema."""
 
 
 class ScenarioError(ReproError):
@@ -88,10 +80,6 @@ class CascadeError(ReproError):
     """The tiered monitoring cascade was misused (a tier that does not
     satisfy the DriftMonitor protocol, or invalid escalation-policy
     parameters)."""
-
-
-class CascadeReportError(ReproError):
-    """A cascade frontier report violates the BENCH_cascade.json schema."""
 
 
 class ConformanceError(ReproError, AssertionError):

@@ -41,11 +41,9 @@ from repro.obs.recorder import (
 )
 from repro.obs.report import (
     TELEMETRY_SCHEMA,
+    TELEMETRY_SUMMARY,
     format_summary,
-    load_telemetry,
     merge_telemetry,
-    validate_telemetry,
-    write_telemetry,
 )
 from repro.obs.tracer import Span, Tracer, WallClock
 
@@ -68,9 +66,7 @@ __all__ = [
     "Tracer",
     "WallClock",
     "TELEMETRY_SCHEMA",
-    "validate_telemetry",
-    "write_telemetry",
-    "load_telemetry",
+    "TELEMETRY_SUMMARY",
     "merge_telemetry",
     "format_summary",
 ]

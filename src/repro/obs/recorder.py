@@ -236,7 +236,7 @@ class Recorder:
 
     def summary(self) -> dict:
         """The end-of-run aggregate (validated by
-        :func:`repro.obs.report.validate_telemetry`)."""
+        :data:`repro.obs.report.TELEMETRY_SUMMARY`)."""
         snapshot = self.metrics.snapshot()
         return {
             "schema_version": 1,

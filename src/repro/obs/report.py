@@ -1,11 +1,12 @@
-"""The telemetry-summary contract (:data:`TELEMETRY_SCHEMA`).
+"""The telemetry-summary contract (:data:`TELEMETRY_SUMMARY`).
 
 :meth:`repro.obs.recorder.Recorder.summary` emits one JSON document per
 run: event totals, counters, gauges, fixed-bucket histograms and per-span
-timing aggregates.  This module owns that document's schema, a validator
-built on the shared :mod:`repro.obs.schema` walker, read/write helpers
-that refuse malformed documents, merging for fleet shards, and a plain
-text renderer for the experiments runner.
+timing aggregates.  This module owns that document's schema and its
+:class:`~repro.obs.schema.Contract` (validate / write / load, plus the
+event-tally and histogram consistency checks the schema cannot
+express), merging for fleet shards, and a plain text renderer for the
+experiments runner.
 
 ``scripts/check.sh`` validates the committed golden telemetry snapshot --
 and a freshly produced summary -- on every run, so schema drift fails CI.
@@ -13,11 +14,10 @@ and a freshly produced summary -- on every run, so schema drift fails CI.
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import TelemetryError
-from repro.obs.schema import cross_check, validate_document
+from repro.obs.schema import Contract
 
 _STAT_ENTRY = {
     "type": "object",
@@ -78,15 +78,8 @@ TELEMETRY_SCHEMA = {
 }
 
 
-def validate_telemetry(summary: object) -> None:
-    """Raise :class:`TelemetryError` unless ``summary`` satisfies
-    :data:`TELEMETRY_SCHEMA`; cross-checks with the ``jsonschema``
-    package when available."""
-    validate_document(summary, TELEMETRY_SCHEMA, "telemetry summary",
-                      TelemetryError)
-    cross_check(summary, TELEMETRY_SCHEMA, "telemetry summary",
-                TelemetryError)
-    # internal consistency the schema alone cannot express
+def _check_consistency(summary: dict) -> None:
+    """The internal consistency the schema alone cannot express."""
     events = summary["events"]
     if events["total"] != events["logical"] + events["timing"]:
         raise TelemetryError(
@@ -105,25 +98,8 @@ def validate_telemetry(summary: object) -> None:
                 f"histogram {name!r} bucket counts do not sum to total")
 
 
-def write_telemetry(path: str, summary: dict) -> None:
-    """Validate ``summary`` and write it to ``path`` as formatted JSON."""
-    validate_telemetry(summary)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def load_telemetry(path: str) -> dict:
-    """Read and validate a summary written by :func:`write_telemetry`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            summary = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise TelemetryError(
-                f"telemetry summary {path} is not valid JSON: {exc}"
-            ) from exc
-    validate_telemetry(summary)
-    return summary
+TELEMETRY_SUMMARY = Contract(TELEMETRY_SCHEMA, "telemetry summary",
+                             TelemetryError, check=_check_consistency)
 
 
 def merge_telemetry(summaries: Sequence[dict]) -> dict:
@@ -141,7 +117,7 @@ def merge_telemetry(summaries: Sequence[dict]) -> dict:
         "counters": {}, "gauges": {}, "histograms": {}, "spans": {},
     }
     for summary in summaries:
-        validate_telemetry(summary)
+        TELEMETRY_SUMMARY.validate(summary)
         events = merged["events"]
         for key in ("total", "logical", "timing"):
             events[key] += summary["events"][key]
@@ -179,7 +155,7 @@ def merge_telemetry(summaries: Sequence[dict]) -> dict:
         sorted(merged["events"]["by_kind"].items()))
     for key in ("counters", "gauges", "histograms", "spans"):
         merged[key] = dict(sorted(merged[key].items()))
-    validate_telemetry(merged)
+    TELEMETRY_SUMMARY.validate(merged)
     return merged
 
 

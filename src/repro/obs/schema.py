@@ -1,21 +1,32 @@
-"""A dependency-free JSON-Schema-subset walker shared by report contracts.
+"""The artifact contract shared by every machine-readable document.
 
-Both machine-readable report formats in the repo -- the
-``BENCH_pipeline.json`` performance report (:mod:`repro.parallel.report`)
-and the telemetry summary (:mod:`repro.obs.report`) -- validate their
-documents with this walker.  It implements the subset of JSON Schema the
-contracts use: ``type``, ``required``, ``properties``,
+The repo commits six kinds of JSON document -- the telemetry summary
+(:mod:`repro.obs.report`), ``BENCH_pipeline.json``
+(:mod:`repro.parallel.report`), ``BENCH_serve.json``
+(:mod:`repro.serve.report`), ``BENCH_detectors.json``
+(:mod:`repro.detectors.report`), ``BENCH_cascade.json``
+(:mod:`repro.cascade.report`) and the scenario ground-truth document
+(:mod:`repro.scenarios.report`).  Each module owns its schema dict and
+one :class:`Contract` constant built from it; the contract validates,
+writes and loads documents of that kind, so no report module carries
+its own copy of that plumbing.
+
+Validation runs on a dependency-free walker implementing the subset of
+JSON Schema the contracts use: ``type``, ``required``, ``properties``,
 ``additionalProperties`` (``False`` or a sub-schema for map-like objects),
 ``items``, ``minItems``, ``enum``, ``minimum``, ``maximum``,
-``exclusiveMinimum``.
+``exclusiveMinimum``.  When the ``jsonschema`` package is importable the
+document is cross-checked with it too, guarding the hand-rolled walker.
 
-When the ``jsonschema`` package is importable, callers may additionally
-cross-check with :func:`cross_check` to guard the hand-rolled walker.
+This module imports nothing from ``repro``, so every layer can build on
+it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Type
+import json
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Type
 
 _TYPE_CHECKS = {
     "object": lambda v: isinstance(v, dict),
@@ -85,27 +96,54 @@ def walk_schema(value: object, schema: dict, path: str,
                 walk_schema(entry, schema["items"], f"{path}[{i}]", errors)
 
 
-def validate_document(document: object, schema: dict, label: str,
-                      error_cls: Type[Exception]) -> None:
-    """Raise ``error_cls`` unless ``document`` satisfies ``schema``."""
-    errors: List[str] = []
-    walk_schema(document, schema, "$", errors)
-    if errors:
-        raise error_cls(
-            f"{label} violates schema:\n  " + "\n  ".join(errors))
+@dataclass(frozen=True)
+class Contract:
+    """One document kind: its schema, the label error messages name it
+    by, the error class it raises, and an optional ``check`` for the
+    internal consistency a schema cannot express (called with a
+    schema-valid document; it raises on its own)."""
 
+    schema: dict
+    label: str
+    error: Type[Exception]
+    check: Optional[Callable[[dict], None]] = None
 
-def cross_check(document: object, schema: dict, label: str,
-                error_cls: Type[Exception]) -> Optional[bool]:
-    """Re-validate with the ``jsonschema`` package when it is installed
-    (guards the hand-rolled walker); returns ``None`` when unavailable."""
-    try:
-        import jsonschema
-    except ImportError:
-        return None
-    try:
-        jsonschema.validate(document, schema)
-    except jsonschema.ValidationError as exc:
-        raise error_cls(
-            f"{label} violates schema (jsonschema): {exc.message}") from exc
-    return True
+    def validate(self, document: object) -> None:
+        """Raise :attr:`error` unless ``document`` satisfies the schema
+        (walker, then ``jsonschema`` when installed) and :attr:`check`."""
+        errors: List[str] = []
+        walk_schema(document, self.schema, "$", errors)
+        if errors:
+            raise self.error(
+                f"{self.label} violates schema:\n  " + "\n  ".join(errors))
+        try:
+            import jsonschema
+        except ImportError:
+            pass
+        else:
+            try:
+                jsonschema.validate(document, self.schema)
+            except jsonschema.ValidationError as exc:
+                raise self.error(f"{self.label} violates schema "
+                                 f"(jsonschema): {exc.message}") from exc
+        if self.check is not None:
+            self.check(document)
+
+    def write(self, path: str, document: dict) -> None:
+        """Validate ``document`` and write it to ``path`` as formatted
+        JSON (sorted keys, two-space indent, trailing newline)."""
+        self.validate(document)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+
+    def load(self, path: str) -> dict:
+        """Read and validate a document written by :meth:`write`."""
+        with open(path, "r", encoding="utf-8") as handle:
+            try:
+                document = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise self.error(
+                    f"{self.label} {path} is not valid JSON: {exc}") from exc
+        self.validate(document)
+        return document

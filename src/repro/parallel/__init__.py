@@ -18,8 +18,9 @@ giving up reproducibility:
   derivation, batched kernels inside each worker, periodic checkpoints,
   crash recovery and a deterministic merge.
 - :mod:`repro.parallel.report` -- the ``BENCH_pipeline.json`` schema
-  (v2, with the fleet scaling sweep), its validator and the v1 upgrade
-  shim, shared by the perf harness and the CI smoke check.
+  (v2, with the fleet scaling sweep) and its contract
+  (:data:`BENCH_REPORT`), shared by the perf harness and the CI smoke
+  check.
 
 Determinism contract: a fleet run's merged output is a pure function of
 ``(tasks, factory, base_seed)`` -- independent of the worker count, the
@@ -41,12 +42,9 @@ from repro.parallel.fleet import (
     task_load,
 )
 from repro.parallel.report import (
+    BENCH_REPORT,
     BENCH_SCHEMA,
     BENCH_SCHEMA_VERSION,
-    load_bench_report,
-    upgrade_bench_report,
-    validate_bench_report,
-    write_bench_report,
 )
 from repro.parallel.sharding import ShardPlan, Steal, plan_shards
 from repro.parallel.transport import (
@@ -66,12 +64,9 @@ __all__ = [
     "fleet_telemetry",
     "stream_seed",
     "task_load",
+    "BENCH_REPORT",
     "BENCH_SCHEMA",
     "BENCH_SCHEMA_VERSION",
-    "load_bench_report",
-    "upgrade_bench_report",
-    "validate_bench_report",
-    "write_bench_report",
     "ShardPlan",
     "Steal",
     "plan_shards",

@@ -3,13 +3,12 @@
 ``benchmarks/bench_perf.py`` measures the sequential, batched and fleet
 execution modes, runs the fleet scaling sweep (workers x streams over
 the deterministic shard planner), and writes its findings as one JSON
-document at the repo root.  This module owns the document's contract: a
-JSON-Schema definition (:data:`BENCH_SCHEMA`), a dependency-free
-validator that enforces it, a v1 upgrade shim
-(:func:`upgrade_bench_report`, mirroring the serve report's), and
-read/write helpers that refuse to produce or accept a malformed report.
-``scripts/check.sh`` validates the committed report on every run, so a
-schema drift fails CI rather than silently rotting the benchmark data.
+document at the repo root.  This module owns the document's schema
+(:data:`BENCH_SCHEMA`) and its :class:`~repro.obs.schema.Contract`
+(:data:`BENCH_REPORT`), which refuses to write or load a malformed
+report.  ``scripts/check.sh`` validates the committed report on every
+run, so a schema drift fails CI rather than silently rotting the
+benchmark data.
 
 Schema v2 adds the ``scaling`` section: one entry per (workers,
 streams) sweep point, carrying the shard plan's deterministic numbers
@@ -19,22 +18,16 @@ achieves, i.e. the measured batched throughput scaled by the plan's
 virtual-time parallelism (total frames over the critical path).  The
 plan numbers are bit-reproducible on any machine; the committed
 ``elapsed_s`` / ``fps`` fields are the build host's wall-clock
-measurement of the same point and are optional by contract.
-
-Validation runs on the shared :mod:`repro.obs.schema` walker (the same
-one behind the telemetry summary contract).  When the ``jsonschema``
-package is importable the document is additionally checked against
-:data:`BENCH_SCHEMA` with it, guarding the hand-rolled walker.
+measurement of the same point and are optional by contract.  A v1
+document (no ``scaling`` section) is rejected.
 """
 
 from __future__ import annotations
 
-import json
+from repro.errors import ReportError
+from repro.obs.schema import Contract
 
-from repro.errors import BenchReportError
-from repro.obs.schema import cross_check, validate_document
-
-#: Current report schema version (see :func:`upgrade_bench_report`).
+#: Current report schema version; the only one the contract accepts.
 BENCH_SCHEMA_VERSION = 2
 
 _MODE_ENTRY = {
@@ -137,74 +130,4 @@ BENCH_SCHEMA = {
 }
 
 
-def validate_bench_report(report: object) -> None:
-    """Raise :class:`BenchReportError` unless ``report`` satisfies
-    :data:`BENCH_SCHEMA`; also cross-checks with ``jsonschema`` when that
-    package is available."""
-    validate_document(report, BENCH_SCHEMA, "bench report", BenchReportError)
-    cross_check(report, BENCH_SCHEMA, "bench report", BenchReportError)
-
-
-def upgrade_bench_report(report: dict) -> dict:
-    """Upgrade a v1 pipeline report to the v2 shape (returns a new dict).
-
-    v1 predates the scaling sweep, so its one fleet measurement *is* the
-    sweep: the shim synthesises a single ``scaling`` entry from
-    ``modes.fleet`` (worker count, stream count, frames and the measured
-    speedup), leaving the plan-derived fields absent -- they are optional
-    by contract precisely so upgraded documents stay honest about what
-    was never measured.  A v2 document passes through unchanged.
-    """
-    if not isinstance(report, dict):
-        raise BenchReportError(
-            f"bench report must be an object, got {type(report).__name__}")
-    version = report.get("schema_version")
-    if version == BENCH_SCHEMA_VERSION:
-        return report
-    if version != 1:
-        raise BenchReportError(
-            f"cannot upgrade bench report schema_version {version!r}; "
-            f"expected 1 or {BENCH_SCHEMA_VERSION}")
-    upgraded = json.loads(json.dumps(report))
-    upgraded["schema_version"] = BENCH_SCHEMA_VERSION
-    fleet = upgraded.get("modes", {}).get("fleet", {})
-    config = upgraded.get("config", {})
-    entry = {
-        "workers": fleet.get("workers", config.get("workers", 1)) or 1,
-        "streams": config.get("streams", 1),
-        "frames": fleet.get("frames", 1),
-        "speedup_vs_sequential": fleet.get("speedup_vs_sequential", 1.0),
-    }
-    if "elapsed_s" in fleet:
-        entry["elapsed_s"] = fleet["elapsed_s"]
-    if "fps" in fleet:
-        entry["fps"] = fleet["fps"]
-    upgraded.setdefault("scaling", [entry])
-    return upgraded
-
-
-def write_bench_report(path: str, report: dict) -> None:
-    """Validate ``report`` and write it to ``path`` as formatted JSON."""
-    validate_bench_report(report)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def load_bench_report(path: str) -> dict:
-    """Read and validate a report written by :func:`write_bench_report`.
-
-    Legacy v1 documents are transparently upgraded to v2 (see
-    :func:`upgrade_bench_report`) before validation, so readers only
-    ever see the current shape.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            report = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise BenchReportError(
-                f"bench report {path} is not valid JSON: {exc}") from exc
-    if isinstance(report, dict) and report.get("schema_version") == 1:
-        report = upgrade_bench_report(report)
-    validate_bench_report(report)
-    return report
+BENCH_REPORT = Contract(BENCH_SCHEMA, "bench report", ReportError)

@@ -19,7 +19,7 @@ axes of variation:
 from __future__ import annotations
 
 import inspect
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -78,24 +78,14 @@ class MonitorStage:
         self.monitor.reset()
 
     # ------------------------------------------------------------------
-    # optimistic-rollback snapshots (monitor state + retained decisions)
+    # optimistic-rollback snapshots
     # ------------------------------------------------------------------
-    def snapshot(self) -> Tuple[dict, Optional[Sequence[object]]]:
-        """Capture the monitor for a possible batched-chunk rollback.
+    def snapshot(self) -> dict:
+        """Capture the monitor for a possible batched-chunk rollback."""
+        return self.monitor.state_dict()
 
-        ``state_dict`` covers the behavioural state; the retained
-        ``decisions`` diagnostic list (when the monitor keeps one) is saved
-        alongside because ``load_state_dict`` deliberately clears it.
-        """
-        state = self.monitor.state_dict()
-        decisions = getattr(self.monitor, "decisions", None)
-        return state, (list(decisions) if decisions is not None else None)
-
-    def restore(self, snapshot: Tuple[dict, Optional[Sequence[object]]]) -> None:
-        state, decisions = snapshot
-        self.monitor.load_state_dict(state)
-        if decisions is not None:
-            self.monitor.decisions = list(decisions)
+    def restore(self, snapshot: dict) -> None:
+        self.monitor.load_state_dict(snapshot)
 
     # ------------------------------------------------------------------
     # Snapshotable passthrough (checkpoint / fleet recovery)

@@ -38,12 +38,10 @@ from repro.scenarios.library import (
     slow_drift_script,
 )
 from repro.scenarios.report import (
+    SCENARIO_DOCUMENT,
     SCENARIO_SCHEMA,
     SCENARIO_SCHEMA_VERSION,
-    load_scenario_document,
     script_document,
-    validate_scenario_document,
-    write_scenario_document,
 )
 from repro.scenarios.script import (
     EVENT_KINDS,
@@ -79,6 +77,7 @@ __all__ = [
     "FactorTrack",
     "KINDS",
     "ONSET",
+    "SCENARIO_DOCUMENT",
     "SCENARIO_SCHEMA",
     "SCENARIO_SCHEMA_VERSION",
     "VideoProfile",
@@ -94,11 +93,8 @@ __all__ = [
     "feature_plan",
     "generate_plan",
     "get_script",
-    "load_scenario_document",
     "observed_events",
     "operational_scripts",
     "script_document",
     "slow_drift_script",
-    "validate_scenario_document",
-    "write_scenario_document",
 ]

@@ -8,20 +8,17 @@ backends and validates this document, so a script whose declarative
 parameters stop matching its compiled ground truth fails CI rather than
 silently mislabeling a benchmark.
 
-Validated with the shared dependency-free :mod:`repro.obs.schema`
-walker (plus a ``jsonschema`` cross-check when that package is
-importable), like every other report contract in the repo.  This is the
-first contract to use the walker's ``minItems`` keyword: an event must
-name at least one moved factor, and a drifting script's event log must
-not be empty.
+:data:`SCENARIO_DOCUMENT` is the document's
+:class:`~repro.obs.schema.Contract`, like every other report contract
+in the repo.  This is the first contract to use the walker's
+``minItems`` keyword: an event must name at least one moved factor, and
+a drifting script's event log must not be empty.
 """
 
 from __future__ import annotations
 
-import json
-
 from repro.errors import ScenarioError
-from repro.obs.schema import cross_check, validate_document
+from repro.obs.schema import Contract
 from repro.scenarios.script import (
     EVENT_KINDS,
     FACTORS,
@@ -121,32 +118,5 @@ def script_document(script: DriftScript) -> dict:
     return document
 
 
-def validate_scenario_document(document: object) -> None:
-    """Raise :class:`ScenarioError` unless ``document`` satisfies
-    :data:`SCENARIO_SCHEMA`; cross-checks with ``jsonschema`` when
-    available."""
-    validate_document(document, SCENARIO_SCHEMA, "scenario document",
-                      ScenarioError)
-    cross_check(document, SCENARIO_SCHEMA, "scenario document",
-                ScenarioError)
-
-
-def write_scenario_document(path: str, document: dict) -> None:
-    """Validate ``document`` and write it to ``path`` as formatted JSON."""
-    validate_scenario_document(document)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def load_scenario_document(path: str) -> dict:
-    """Read and validate a document written by
-    :func:`write_scenario_document`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            document = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(
-                f"scenario document {path} is not valid JSON: {exc}") from exc
-    validate_scenario_document(document)
-    return document
+SCENARIO_DOCUMENT = Contract(SCENARIO_SCHEMA, "scenario document",
+                             ScenarioError)

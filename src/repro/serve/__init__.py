@@ -19,7 +19,7 @@ over one simulated inference backend, in virtual time:
   overload controller (hysteresis state machine over serving pressure);
 - :mod:`repro.serve.server` -- the discrete-event serving loop;
 - :mod:`repro.serve.report` -- SLO accounting and the
-  ``BENCH_serve.json`` schema contract.
+  ``BENCH_serve.json`` contract (:data:`SERVE_REPORT`).
 
 Everything is a pure function of ``(sessions, arrivals, config)``; the
 unconstrained single-stream serve path is bit-identical to
@@ -47,13 +47,10 @@ from repro.serve.overload import (
     OverloadController,
 )
 from repro.serve.report import (
+    SERVE_REPORT,
     SERVE_SCHEMA,
     ServeResult,
     StreamSLO,
-    load_serve_report,
-    upgrade_serve_report,
-    validate_serve_report,
-    write_serve_report,
 )
 from repro.serve.scheduler import (
     FAIRNESS_POLICIES,
@@ -76,6 +73,7 @@ __all__ = [
     "MONITOR_FRAME_OPS",
     "OVERLOAD_STATES",
     "SHED_POLICIES",
+    "SERVE_REPORT",
     "SERVE_SCHEMA",
     "BoundedFrameQueue",
     "DeadlineScheduler",
@@ -97,8 +95,4 @@ __all__ = [
     "capacity_fps",
     "frame_cost_ms",
     "generate_arrivals",
-    "load_serve_report",
-    "upgrade_serve_report",
-    "validate_serve_report",
-    "write_serve_report",
 ]

@@ -4,10 +4,10 @@
 latency percentiles, deadline misses, drift activity);
 :class:`ServeResult` aggregates a whole run and renders the
 schema-valid ``sweep`` entry that ``benchmarks/bench_serve.py`` emits per
-offered-load point.  :data:`SERVE_SCHEMA` is the document contract,
-validated -- like the perf and telemetry reports -- with the shared
-dependency-free :mod:`repro.obs.schema` walker (plus a ``jsonschema``
-cross-check when that package is importable).
+offered-load point.  :data:`SERVE_SCHEMA` is the document's schema (v2;
+a v1 document is rejected) and :data:`SERVE_REPORT` its
+:class:`~repro.obs.schema.Contract`, which validates, writes and loads
+``BENCH_serve.json``.
 
 Every number in the document is *simulated*: latencies, throughput and
 makespan all live in the virtual time the backend clock charges, so the
@@ -16,20 +16,19 @@ committed report is reproducible bit for bit on any machine.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from repro.errors import ServeReportError
-from repro.obs.schema import cross_check, validate_document
+from repro.errors import ReportError
+from repro.obs.schema import Contract
 
 
 def nearest_rank(values: Sequence[float], q: float) -> float:
     """The q-th percentile by the nearest-rank method (deterministic, no
     interpolation); 0.0 for an empty sample."""
     if not 0.0 < q <= 100.0:
-        raise ServeReportError(f"percentile must be in (0, 100]: {q}")
+        raise ReportError(f"percentile must be in (0, 100]: {q}")
     ordered = sorted(values)
     if not ordered:
         return 0.0
@@ -366,79 +365,4 @@ SERVE_SCHEMA = {
 }
 
 
-def validate_serve_report(report: object) -> None:
-    """Raise :class:`ServeReportError` unless ``report`` satisfies
-    :data:`SERVE_SCHEMA`; cross-checks with ``jsonschema`` when
-    available."""
-    validate_document(report, SERVE_SCHEMA, "serve report",
-                      ServeReportError)
-    cross_check(report, SERVE_SCHEMA, "serve report", ServeReportError)
-
-
-def upgrade_serve_report(report: dict) -> dict:
-    """Upgrade a v1 serve report to the v2 shape (returns a new dict).
-
-    v1 predates the overload controller, so the missing counters are
-    definitionally zero (nothing was ever rejected as infeasible and no
-    transitions happened) and per-stream ``goodput_fps`` is recomputed
-    from the stream's recorded counts over the run's makespan.  A v2
-    document passes through unchanged.
-    """
-    if not isinstance(report, dict):
-        raise ServeReportError(
-            f"serve report must be an object, got {type(report).__name__}")
-    version = report.get("schema_version")
-    if version == 2:
-        return report
-    if version != 1:
-        raise ServeReportError(
-            f"cannot upgrade serve report schema_version {version!r}; "
-            f"expected 1 or 2")
-    upgraded = json.loads(json.dumps(report))
-    upgraded["schema_version"] = 2
-    for entry in upgraded.get("sweep", []):
-        totals = entry.get("totals", {})
-        totals.setdefault("rejected_infeasible", 0)
-        totals.setdefault("overload_transitions", 0)
-        makespan = totals.get("makespan_ms", 0.0)
-        if "goodput_fps" not in totals:
-            in_deadline = (totals.get("processed", 0)
-                           + totals.get("degraded", 0)
-                           - totals.get("deadline_misses", 0))
-            totals["goodput_fps"] = round(_fps(in_deadline, makespan), 6)
-        for stream in entry.get("streams", {}).values():
-            stream.setdefault("rejected_infeasible", 0)
-            if "goodput_fps" not in stream:
-                in_deadline = (stream.get("processed", 0)
-                               + stream.get("degraded", 0)
-                               - stream.get("deadline_misses", 0))
-                stream["goodput_fps"] = round(
-                    _fps(in_deadline, makespan), 6)
-    return upgraded
-
-
-def write_serve_report(path: str, report: dict) -> None:
-    """Validate ``report`` and write it to ``path`` as formatted JSON."""
-    validate_serve_report(report)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def load_serve_report(path: str) -> dict:
-    """Read and validate a report written by :func:`write_serve_report`.
-
-    Legacy v1 documents are transparently upgraded to v2 (see
-    :func:`upgrade_serve_report`) before validation, so readers only
-    ever see the current shape.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            report = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ServeReportError(
-                f"serve report {path} is not valid JSON: {exc}") from exc
-    if isinstance(report, dict) and report.get("schema_version") == 1:
-        report = upgrade_serve_report(report)
-    validate_serve_report(report)
-    return report
+SERVE_REPORT = Contract(SERVE_SCHEMA, "serve report", ReportError)

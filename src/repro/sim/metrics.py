@@ -121,17 +121,10 @@ class InvocationCounter:
                 "per_model": dict(self._per_model)}
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore a snapshot taken by :meth:`state_dict` (or by the
-        pre-bounded format that logged one entry per frame)."""
-        if "per_frame" in state:  # legacy checkpoint format
-            per_frame = [int(n) for n in state["per_frame"]]
-            self._frames = len(per_frame)
-            self._invocations = sum(per_frame)
-            self._multi_frames = sum(1 for n in per_frame if n > 1)
-        else:
-            self._frames = int(state["frames"])
-            self._invocations = int(state["invocations"])
-            self._multi_frames = int(state["multi_frames"])
+        """Restore a snapshot taken by :meth:`state_dict`."""
+        self._frames = int(state["frames"])
+        self._invocations = int(state["invocations"])
+        self._multi_frames = int(state["multi_frames"])
         self._per_model = {str(k): int(v)
                            for k, v in state["per_model"].items()}
 

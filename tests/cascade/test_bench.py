@@ -13,14 +13,9 @@ from repro.cascade.bench import (
     mode_matrix,
     run_benchmark,
 )
-from repro.cascade.report import (
-    frontier_summary,
-    load_cascade_report,
-    validate_cascade_report,
-    write_cascade_report,
-)
+from repro.cascade.report import CASCADE_REPORT, frontier_summary
 from repro.detectors.bench import Scenario
-from repro.errors import CascadeError, CascadeReportError
+from repro.errors import CascadeError, ReportError
 
 COMMITTED_REPORT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, os.pardir, "BENCH_cascade.json")
@@ -59,59 +54,47 @@ def minimal_report() -> dict:
 
 class TestSchema:
     def test_minimal_report_validates(self):
-        validate_cascade_report(minimal_report())
-
-    def test_write_load_round_trip(self, tmp_path):
-        path = str(tmp_path / "BENCH_cascade.json")
-        report = minimal_report()
-        write_cascade_report(path, report)
-        assert load_cascade_report(path) == report
+        CASCADE_REPORT.validate(minimal_report())
 
     @pytest.mark.parametrize("key", ["schema_version", "benchmark", "quick",
                                      "default_mode", "scenarios", "modes"])
     def test_missing_required_key_rejected(self, key):
         report = minimal_report()
         del report[key]
-        with pytest.raises(CascadeReportError, match=key):
-            validate_cascade_report(report)
+        with pytest.raises(ReportError, match=key):
+            CASCADE_REPORT.validate(report)
 
     def test_extra_cell_key_rejected(self):
         report = minimal_report()
         report["modes"]["cascade@3.5"]["scenarios"]["abrupt"]["extra"] = 1
-        with pytest.raises(CascadeReportError, match="extra"):
-            validate_cascade_report(report)
+        with pytest.raises(ReportError, match="extra"):
+            CASCADE_REPORT.validate(report)
 
     def test_unknown_kind_rejected(self):
         report = minimal_report()
         report["modes"]["cascade@3.5"]["kind"] = "sometimes-on"
-        with pytest.raises(CascadeReportError, match="kind"):
-            validate_cascade_report(report)
+        with pytest.raises(ReportError, match="kind"):
+            CASCADE_REPORT.validate(report)
 
     def test_escalated_pct_bounded(self):
         report = minimal_report()
         report["modes"]["cascade@3.5"]["scenarios"]["abrupt"][
             "escalated_pct"] = 101.0
-        with pytest.raises(CascadeReportError, match="escalated_pct"):
-            validate_cascade_report(report)
+        with pytest.raises(ReportError, match="escalated_pct"):
+            CASCADE_REPORT.validate(report)
 
     def test_zero_cost_rejected(self):
         report = minimal_report()
         report["modes"]["cascade@3.5"]["scenarios"]["abrupt"][
             "us_per_frame"] = 0.0
-        with pytest.raises(CascadeReportError, match="us_per_frame"):
-            validate_cascade_report(report)
+        with pytest.raises(ReportError, match="us_per_frame"):
+            CASCADE_REPORT.validate(report)
 
     def test_default_mode_must_be_scored(self):
         report = minimal_report()
         report["default_mode"] = "cascade@99"
-        with pytest.raises(CascadeReportError, match="default_mode"):
-            validate_cascade_report(report)
-
-    def test_load_rejects_malformed_json(self, tmp_path):
-        path = tmp_path / "corrupt.json"
-        path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(CascadeReportError, match="not valid JSON"):
-            load_cascade_report(str(path))
+        with pytest.raises(ReportError, match="default_mode"):
+            CASCADE_REPORT.validate(report)
 
 
 class TestModeMatrix:
@@ -146,7 +129,7 @@ class TestQuickBenchmark:
                              seeds=(0,), quick=True)
 
     def test_report_is_schema_valid(self, report):
-        validate_cascade_report(report)
+        CASCADE_REPORT.validate(report)
         assert report["quick"] is True
         assert report["default_mode"] == "cascade@3.5"
 
@@ -181,7 +164,7 @@ class TestCommittedReport:
 
     @pytest.fixture(scope="class")
     def summary(self):
-        report = load_cascade_report(COMMITTED_REPORT)
+        report = CASCADE_REPORT.load(COMMITTED_REPORT)
         assert report["quick"] is False
         return frontier_summary(report), report["default_mode"]
 
@@ -209,14 +192,3 @@ class TestCommittedReport:
             ceiling["abrupt_detected_runs"]
         assert cascade["abrupt_delay"] <= \
             MAX_DELAY_RATIO * ceiling["abrupt_delay"]
-
-    def test_report_matches_disk_formatting(self, tmp_path):
-        """The committed file is exactly what ``write_cascade_report``
-        emits (sorted keys, two-space indent, trailing newline)."""
-        report = load_cascade_report(COMMITTED_REPORT)
-        rewritten = str(tmp_path / "rewrite.json")
-        write_cascade_report(rewritten, report)
-        with open(COMMITTED_REPORT, encoding="utf-8") as handle:
-            committed = handle.read()
-        with open(rewritten, encoding="utf-8") as handle:
-            assert handle.read() == committed

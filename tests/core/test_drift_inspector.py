@@ -83,7 +83,6 @@ class TestReset:
         inspector.reset()
         assert not inspector.drift_detected
         assert inspector.frames_processed == 0
-        assert inspector.decisions == []
 
     def test_reset_with_new_reference(self, rng, gaussian_reference):
         inspector = make_inspector(gaussian_reference)

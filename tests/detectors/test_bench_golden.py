@@ -16,9 +16,10 @@ from repro.detectors.bench import (
     Scenario,
     run_benchmark,
     scenario_matrix,
+    score_detections,
     score_run,
 )
-from repro.detectors.report import validate_detectors_report
+from repro.detectors.report import DETECTORS_REPORT
 from repro.errors import DetectorZooError
 
 SLICE_DETECTORS = ("cusum", "kswin", "inspector")
@@ -38,7 +39,7 @@ class TestGoldenSlice:
         golden("detectors_bench", slice_report())
 
     def test_slice_is_schema_valid(self):
-        validate_detectors_report(slice_report())
+        DETECTORS_REPORT.validate(slice_report())
 
     def test_slice_is_deterministic(self):
         assert slice_report() == slice_report()
@@ -79,3 +80,18 @@ class TestHarness:
 
     def test_default_seeds_are_stable(self):
         assert DEFAULT_SEEDS == (0, 1, 2)
+
+
+class TestScoreDetections:
+    """The one delay / false-alarm definition both benchmarks share."""
+
+    @pytest.mark.parametrize("indices,onset,expected", [
+        ([], 60, (None, 0)),
+        ([75, 64, 90], 60, (4, 0)),
+        ([10, 59, 60, 80], 60, (0, 2)),
+        ([5, 40], 60, (None, 2)),
+        ([3, 90], None, (None, 2)),
+    ], ids=["never caught", "first at or after onset", "earlier are false",
+            "false alarms and a miss", "stationary"])
+    def test_scores_against_the_onset(self, indices, onset, expected):
+        assert score_detections(indices, onset) == expected

@@ -1,4 +1,6 @@
-"""DETECTORS_SCHEMA round trips and rejects malformed documents."""
+"""DETECTORS_SCHEMA accepts the report's shape and rejects malformed
+documents (the I/O every contract shares is in
+``tests/obs/test_contracts.py``)."""
 
 from __future__ import annotations
 
@@ -7,13 +9,8 @@ import json
 
 import pytest
 
-from repro.detectors.report import (
-    DETECTORS_SCHEMA,
-    load_detectors_report,
-    validate_detectors_report,
-    write_detectors_report,
-)
-from repro.errors import DetectorReportError
+from repro.detectors.report import DETECTORS_REPORT, DETECTORS_SCHEMA
+from repro.errors import ReportError
 
 
 def minimal_report() -> dict:
@@ -44,7 +41,7 @@ def minimal_report() -> dict:
 
 class TestValidDocuments:
     def test_minimal_report_validates(self):
-        validate_detectors_report(minimal_report())
+        DETECTORS_REPORT.validate(minimal_report())
 
     def test_nullable_metrics(self):
         """Both ``detection_delay`` and ``mtbfa`` are null exactly when
@@ -53,98 +50,79 @@ class TestValidDocuments:
         cell = report["detectors"]["cusum"]["scenarios"]["abrupt"]
         cell["detection_delay"] = None
         cell["mtbfa"] = 60.0
-        validate_detectors_report(report)
-
-    def test_write_load_round_trip(self, tmp_path):
-        path = str(tmp_path / "BENCH_detectors.json")
-        report = minimal_report()
-        write_detectors_report(path, report)
-        assert load_detectors_report(path) == report
+        DETECTORS_REPORT.validate(report)
 
 
 class TestRejectedDocuments:
     def test_extra_top_level_key_rejected(self):
         report = minimal_report()
         report["surprise"] = 1
-        with pytest.raises(DetectorReportError, match="surprise"):
-            validate_detectors_report(report)
+        with pytest.raises(ReportError, match="surprise"):
+            DETECTORS_REPORT.validate(report)
 
     def test_extra_metrics_key_rejected(self):
         """additionalProperties is strict all the way down: an unknown
         key inside a metrics cell fails, not just at the top level."""
         report = minimal_report()
         report["detectors"]["cusum"]["scenarios"]["abrupt"]["extra"] = 1
-        with pytest.raises(DetectorReportError, match="extra"):
-            validate_detectors_report(report)
+        with pytest.raises(ReportError, match="extra"):
+            DETECTORS_REPORT.validate(report)
 
     def test_extra_detector_entry_key_rejected(self):
         report = minimal_report()
         report["detectors"]["cusum"]["nickname"] = "chart"
-        with pytest.raises(DetectorReportError, match="nickname"):
-            validate_detectors_report(report)
+        with pytest.raises(ReportError, match="nickname"):
+            DETECTORS_REPORT.validate(report)
 
     @pytest.mark.parametrize("key", ["schema_version", "benchmark",
                                      "quick", "scenarios", "detectors"])
     def test_missing_required_key_rejected(self, key):
         report = minimal_report()
         del report[key]
-        with pytest.raises(DetectorReportError, match=key):
-            validate_detectors_report(report)
+        with pytest.raises(ReportError, match=key):
+            DETECTORS_REPORT.validate(report)
 
     def test_missing_metric_rejected(self):
         report = minimal_report()
         del report["detectors"]["cusum"]["scenarios"]["abrupt"]["mtbfa"]
-        with pytest.raises(DetectorReportError, match="mtbfa"):
-            validate_detectors_report(report)
+        with pytest.raises(ReportError, match="mtbfa"):
+            DETECTORS_REPORT.validate(report)
 
     def test_wrong_schema_version_rejected(self):
         report = minimal_report()
         report["schema_version"] = 2
-        with pytest.raises(DetectorReportError, match="schema_version"):
-            validate_detectors_report(report)
+        with pytest.raises(ReportError, match="schema_version"):
+            DETECTORS_REPORT.validate(report)
 
     def test_negative_delay_rejected(self):
         report = minimal_report()
         report["detectors"]["cusum"]["scenarios"]["abrupt"][
             "detection_delay"] = -1.0
-        with pytest.raises(DetectorReportError, match="detection_delay"):
-            validate_detectors_report(report)
+        with pytest.raises(ReportError, match="detection_delay"):
+            DETECTORS_REPORT.validate(report)
 
     def test_zero_mtbfa_rejected(self):
         """mtbfa is null or strictly positive, never zero."""
         report = minimal_report()
         report["detectors"]["cusum"]["scenarios"]["stationary"][
             "mtbfa"] = 0.0
-        with pytest.raises(DetectorReportError, match="mtbfa"):
-            validate_detectors_report(report)
+        with pytest.raises(ReportError, match="mtbfa"):
+            DETECTORS_REPORT.validate(report)
 
     def test_boolean_not_accepted_as_integer(self):
         report = minimal_report()
         report["detectors"]["cusum"]["scenarios"]["abrupt"][
             "detected_runs"] = True
-        with pytest.raises(DetectorReportError, match="detected_runs"):
-            validate_detectors_report(report)
-
-    def test_write_refuses_invalid_report(self, tmp_path):
-        path = str(tmp_path / "bad.json")
-        report = minimal_report()
-        report["extra"] = True
-        with pytest.raises(DetectorReportError):
-            write_detectors_report(path, report)
-
-    def test_load_rejects_malformed_json(self, tmp_path):
-        path = tmp_path / "corrupt.json"
-        path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(DetectorReportError, match="not valid JSON"):
-            load_detectors_report(str(path))
+        with pytest.raises(ReportError, match="detected_runs"):
+            DETECTORS_REPORT.validate(report)
 
     def test_load_rejects_schema_violation(self, tmp_path):
         path = tmp_path / "bad.json"
         report = minimal_report()
         del report["detectors"]
         path.write_text(json.dumps(report), encoding="utf-8")
-        with pytest.raises(DetectorReportError, match="detectors"):
-            load_detectors_report(str(path))
+        with pytest.raises(ReportError, match="detectors"):
+            DETECTORS_REPORT.load(str(path))
 
     def test_schema_itself_is_strict_everywhere(self):
         """Every object schema in the contract pins

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import NULL_RECORDER, Recorder, logical_events
-from repro.obs.report import validate_telemetry
+from repro.obs.report import TELEMETRY_SUMMARY
 from repro.parallel import FleetExecutor, FleetTask, fleet_telemetry
 from repro.parallel.fleet import stream_seed
 
@@ -62,7 +62,7 @@ class TestNoOpEquivalence:
         telemetry = make_pipeline(
             seed=0, recorder=Recorder()).process(stream).telemetry
         assert telemetry is not None
-        validate_telemetry(telemetry["summary"])
+        TELEMETRY_SUMMARY.validate(telemetry["summary"])
 
 
 # ----------------------------------------------------------------------
@@ -136,7 +136,7 @@ class TestFleetTelemetry:
         # the simulated clock makes even span timings deterministic, so the
         # merged documents are identical -- not merely logically equal
         reference = fleet_telemetry(self.run_fleet(0))
-        validate_telemetry(reference)
+        TELEMETRY_SUMMARY.validate(reference)
         for workers in (1, 2):
             assert fleet_telemetry(self.run_fleet(workers)) == reference
 
@@ -155,6 +155,6 @@ class TestGoldenTelemetry:
         result = make_pipeline(seed=0, recorder=Recorder()).process(
             drift_stream())
         summary = result.telemetry["summary"]
-        validate_telemetry(summary)
+        TELEMETRY_SUMMARY.validate(summary)
         assert summary["counters"]["pipeline.detections"] >= 1
         golden("pipeline_telemetry", summary)

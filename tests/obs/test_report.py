@@ -1,4 +1,5 @@
-"""Telemetry summary contract: schema, IO helpers, merging, rendering."""
+"""Telemetry summary contract: schema and consistency checks, merging,
+rendering (the I/O every contract shares is in ``test_contracts.py``)."""
 
 from __future__ import annotations
 
@@ -6,14 +7,12 @@ import pytest
 
 from repro.errors import TelemetryError
 from repro.obs import (
+    TELEMETRY_SUMMARY,
     Recorder,
     format_summary,
-    load_telemetry,
     merge_telemetry,
-    validate_telemetry,
-    write_telemetry,
 )
-from repro.obs.schema import validate_document, walk_schema
+from repro.obs.schema import Contract, walk_schema
 from repro.sim.clock import SimulatedClock
 
 
@@ -31,61 +30,43 @@ def make_summary(counter: float = 2.0) -> dict:
 
 class TestValidateTelemetry:
     def test_live_summary_validates(self):
-        validate_telemetry(make_summary())
+        TELEMETRY_SUMMARY.validate(make_summary())
 
     def test_missing_section_rejected(self):
         summary = make_summary()
         del summary["counters"]
         with pytest.raises(TelemetryError, match="violates schema"):
-            validate_telemetry(summary)
+            TELEMETRY_SUMMARY.validate(summary)
 
     def test_unknown_top_level_key_rejected(self):
         summary = make_summary()
         summary["surprise"] = 1
         with pytest.raises(TelemetryError, match="violates schema"):
-            validate_telemetry(summary)
+            TELEMETRY_SUMMARY.validate(summary)
 
     def test_negative_counter_rejected(self):
         summary = make_summary()
         summary["counters"]["frames"] = -1.0
         with pytest.raises(TelemetryError, match="violates schema"):
-            validate_telemetry(summary)
+            TELEMETRY_SUMMARY.validate(summary)
 
     def test_inconsistent_event_totals_rejected(self):
         summary = make_summary()
         summary["events"]["total"] += 1
         with pytest.raises(TelemetryError, match="inconsistent"):
-            validate_telemetry(summary)
+            TELEMETRY_SUMMARY.validate(summary)
 
     def test_histogram_bucket_arity_enforced(self):
         summary = make_summary()
         summary["histograms"]["p"]["counts"].append(0)
         with pytest.raises(TelemetryError, match="buckets"):
-            validate_telemetry(summary)
+            TELEMETRY_SUMMARY.validate(summary)
 
     def test_histogram_count_sum_enforced(self):
         summary = make_summary()
         summary["histograms"]["p"]["total"] += 1
         with pytest.raises(TelemetryError, match="sum to total"):
-            validate_telemetry(summary)
-
-
-class TestIO:
-    def test_write_then_load_round_trips(self, tmp_path):
-        path = str(tmp_path / "telemetry.json")
-        summary = make_summary()
-        write_telemetry(path, summary)
-        assert load_telemetry(path) == summary
-
-    def test_load_rejects_bad_json(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{nope")
-        with pytest.raises(TelemetryError, match="not valid JSON"):
-            load_telemetry(str(path))
-
-    def test_write_refuses_invalid_summary(self, tmp_path):
-        with pytest.raises(TelemetryError):
-            write_telemetry(str(tmp_path / "out.json"), {"schema_version": 1})
+            TELEMETRY_SUMMARY.validate(summary)
 
 
 class TestMergeTelemetry:
@@ -96,7 +77,7 @@ class TestMergeTelemetry:
         assert merged["histograms"]["p"]["total"] == 2
         assert merged["spans"]["stage"]["count"] == 2
         assert merged["spans"]["stage"]["max_ms"] == 4.0
-        validate_telemetry(merged)
+        TELEMETRY_SUMMARY.validate(merged)
 
     def test_gauges_take_last_shard(self):
         first, second = make_summary(), make_summary()
@@ -121,7 +102,7 @@ class TestMergeTelemetry:
     def test_empty_merge_is_the_neutral_document(self):
         merged = merge_telemetry([])
         assert merged["events"]["total"] == 0
-        validate_telemetry(merged)
+        TELEMETRY_SUMMARY.validate(merged)
 
 
 class TestFormatSummary:
@@ -157,4 +138,4 @@ class TestSchemaWalker:
             pass
 
         with pytest.raises(Boom, match="label violates schema"):
-            validate_document([], {"type": "object"}, "label", Boom)
+            Contract({"type": "object"}, "label", Boom).validate([])

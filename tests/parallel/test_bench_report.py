@@ -1,4 +1,5 @@
-"""The BENCH_pipeline.json contract: schema, validator, upgrade, I/O."""
+"""The BENCH_pipeline.json contract: schema and the committed report
+(the I/O every contract shares is in ``tests/obs/test_contracts.py``)."""
 
 from __future__ import annotations
 
@@ -8,15 +9,8 @@ import os
 
 import pytest
 
-from repro.errors import BenchReportError
-from repro.parallel import (
-    BENCH_SCHEMA,
-    BENCH_SCHEMA_VERSION,
-    load_bench_report,
-    upgrade_bench_report,
-    validate_bench_report,
-    write_bench_report,
-)
+from repro.errors import ReportError
+from repro.parallel import BENCH_REPORT, BENCH_SCHEMA, BENCH_SCHEMA_VERSION
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))))
@@ -50,19 +44,8 @@ def minimal_report() -> dict:
     }
 
 
-def legacy_v1_report() -> dict:
-    report = minimal_report()
-    report["schema_version"] = 1
-    del report["scaling"]
-    del report["config"]["transport"]
-    del report["config"]["host_cores"]
-    del report["modes"]["fleet"]["transport"]
-    report["modes"]["fleet"]["speedup_vs_sequential"] = 3.6
-    return report
-
-
 def test_minimal_report_validates():
-    validate_bench_report(minimal_report())
+    BENCH_REPORT.validate(minimal_report())
 
 
 @pytest.mark.parametrize("mutate,match", [
@@ -87,82 +70,12 @@ def test_minimal_report_validates():
 def test_schema_violations_are_rejected(mutate, match):
     report = copy.deepcopy(minimal_report())
     mutate(report)
-    with pytest.raises(BenchReportError, match=match):
-        validate_bench_report(report)
-
-
-def test_write_then_load_round_trips(tmp_path):
-    path = str(tmp_path / "report.json")
-    report = minimal_report()
-    write_bench_report(path, report)
-    assert load_bench_report(path) == report
-
-
-def test_write_refuses_invalid_report(tmp_path):
-    path = str(tmp_path / "report.json")
-    broken = minimal_report()
-    broken.pop("stages")
-    with pytest.raises(BenchReportError):
-        write_bench_report(path, broken)
-    assert not os.path.exists(path)
-
-
-def test_load_rejects_malformed_json(tmp_path):
-    path = tmp_path / "report.json"
-    path.write_text("{not json")
-    with pytest.raises(BenchReportError, match="not valid JSON"):
-        load_bench_report(str(path))
+    with pytest.raises(ReportError, match=match):
+        BENCH_REPORT.validate(report)
 
 
 def test_schema_is_itself_json_serializable():
     json.dumps(BENCH_SCHEMA)
-
-
-# ----------------------------------------------------------------------
-# the v1 -> v2 upgrade shim
-# ----------------------------------------------------------------------
-class TestUpgradeShim:
-    def test_v1_upgrades_to_valid_v2(self):
-        upgraded = upgrade_bench_report(legacy_v1_report())
-        validate_bench_report(upgraded)
-        assert upgraded["schema_version"] == BENCH_SCHEMA_VERSION
-
-    def test_v1_scaling_synthesised_from_fleet_mode(self):
-        legacy = legacy_v1_report()
-        upgraded = upgrade_bench_report(legacy)
-        (entry,) = upgraded["scaling"]
-        fleet = legacy["modes"]["fleet"]
-        assert entry == {
-            "workers": fleet["workers"],
-            "streams": legacy["config"]["streams"],
-            "frames": fleet["frames"],
-            "speedup_vs_sequential": fleet["speedup_vs_sequential"],
-            "elapsed_s": fleet["elapsed_s"],
-            "fps": fleet["fps"],
-        }
-
-    def test_upgrade_does_not_mutate_input(self):
-        legacy = legacy_v1_report()
-        snapshot = copy.deepcopy(legacy)
-        upgrade_bench_report(legacy)
-        assert legacy == snapshot
-
-    def test_v2_passes_through_unchanged(self):
-        report = minimal_report()
-        assert upgrade_bench_report(report) is report
-
-    def test_unknown_version_is_rejected(self):
-        with pytest.raises(BenchReportError, match="cannot upgrade"):
-            upgrade_bench_report({"schema_version": 99})
-        with pytest.raises(BenchReportError, match="must be an object"):
-            upgrade_bench_report([1, 2])
-
-    def test_load_upgrades_v1_documents(self, tmp_path):
-        path = tmp_path / "legacy.json"
-        path.write_text(json.dumps(legacy_v1_report()))
-        report = load_bench_report(str(path))
-        assert report["schema_version"] == BENCH_SCHEMA_VERSION
-        assert report["scaling"]
 
 
 def test_committed_report_is_valid():
@@ -170,7 +83,7 @@ def test_committed_report_is_valid():
     carry the fleet scaling sweep."""
     path = os.path.join(_REPO_ROOT, "BENCH_pipeline.json")
     assert os.path.exists(path), "BENCH_pipeline.json must be committed"
-    report = load_bench_report(path)
+    report = BENCH_REPORT.load(path)
     assert report["schema_version"] == BENCH_SCHEMA_VERSION
     assert report["modes"]["batched"]["fps"] > 0
     workers = {entry["workers"] for entry in report["scaling"]}

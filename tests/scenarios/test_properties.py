@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.scenarios import (
     FACTORS,
+    SCENARIO_DOCUMENT,
     DriftScript,
     FactorTrack,
     compile_features,
@@ -23,7 +24,6 @@ from repro.scenarios import (
     compound,
     observed_events,
     script_document,
-    validate_scenario_document,
 )
 
 #: Bounded magnitudes keep every factor inside the pixel axes' range.
@@ -121,7 +121,7 @@ def test_recurring_scripts_emit_one_event_per_recurrence(
 @settings(max_examples=20, deadline=None)
 @given(script=scripts())
 def test_every_generated_script_serializes_and_validates(script):
-    validate_scenario_document(script_document(script))
+    SCENARIO_DOCUMENT.validate(script_document(script))
 
 
 @settings(max_examples=20, deadline=None)

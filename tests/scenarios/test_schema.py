@@ -1,4 +1,6 @@
-"""SCENARIO_SCHEMA: round-trips plus one negative test per keyword.
+"""SCENARIO_SCHEMA: every built-in script validates, plus one negative
+test per keyword (the I/O every contract shares is in
+``tests/obs/test_contracts.py``).
 
 The schema is the first consumer of the walker's ``minItems`` keyword
 (added in PR 10); each mutation below violates exactly one schema
@@ -7,20 +9,15 @@ keyword, so a walker regression on any of them fails loudly here.
 
 from __future__ import annotations
 
-import copy
-
 import pytest
 
 from repro.errors import ScenarioError
 from repro.obs.schema import walk_schema
 from repro.scenarios import (
-    SCENARIO_SCHEMA,
+    SCENARIO_DOCUMENT,
     builtin_scripts,
     get_script,
-    load_scenario_document,
     script_document,
-    validate_scenario_document,
-    write_scenario_document,
 )
 
 
@@ -32,18 +29,7 @@ def document():
 class TestPositive:
     @pytest.mark.parametrize("name", sorted(builtin_scripts()))
     def test_every_builtin_script_validates(self, name):
-        validate_scenario_document(script_document(get_script(name)))
-
-    def test_roundtrip_through_disk(self, tmp_path, document):
-        path = str(tmp_path / "scenario.json")
-        write_scenario_document(path, document)
-        assert load_scenario_document(path) == document
-
-    def test_invalid_json_rejected(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(ScenarioError):
-            load_scenario_document(str(path))
+        SCENARIO_DOCUMENT.validate(script_document(get_script(name)))
 
 
 class TestNegativePerKeyword:
@@ -51,7 +37,7 @@ class TestNegativePerKeyword:
 
     def reject(self, document):
         with pytest.raises(ScenarioError):
-            validate_scenario_document(document)
+            SCENARIO_DOCUMENT.validate(document)
 
     def test_type(self, document):
         document["frames"] = "240"
@@ -115,4 +101,4 @@ class TestMinItemsKeyword:
         # script_document, not by the schema
         document = script_document(get_script("abrupt"))
         document["events"] = []
-        validate_scenario_document(document)
+        SCENARIO_DOCUMENT.validate(document)

@@ -2,20 +2,15 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.errors import ServeReportError
+from repro.errors import ReportError
 from repro.serve import (
+    SERVE_REPORT,
     DriftServer,
     WorkloadConfig,
     capacity_fps,
     generate_arrivals,
-    load_serve_report,
-    upgrade_serve_report,
-    validate_serve_report,
-    write_serve_report,
 )
 from repro.serve.report import nearest_rank
 from tests.serve.conftest import gaussian_stream, unconstrained
@@ -60,9 +55,9 @@ class TestNearestRank:
         assert nearest_rank(values, 99.0) == 9.0
 
     def test_percentile_must_be_in_range(self):
-        with pytest.raises(ServeReportError):
+        with pytest.raises(ReportError):
             nearest_rank([1.0], 0.0)
-        with pytest.raises(ServeReportError):
+        with pytest.raises(ReportError):
             nearest_rank([1.0], 101.0)
 
     def test_nearest_rank_is_an_element(self):
@@ -85,7 +80,7 @@ class TestServeResultAccounting:
             result.streams["cam"].latencies_ms)
 
     def test_slo_entry_is_schema_shaped(self):
-        validate_serve_report(valid_document())
+        SERVE_REPORT.validate(valid_document())
 
     def test_backend_ledger_accounts_for_makespan(self):
         """Every simulated millisecond is attributed to an operation."""
@@ -98,95 +93,23 @@ class TestSchemaValidation:
     def test_missing_required_key_rejected(self):
         document = valid_document()
         del document["capacity_fps"]
-        with pytest.raises(ServeReportError, match="capacity_fps"):
-            validate_serve_report(document)
+        with pytest.raises(ReportError, match="capacity_fps"):
+            SERVE_REPORT.validate(document)
 
     def test_unknown_key_rejected(self):
         document = valid_document()
         document["sweep"][0]["totals"]["surprise"] = 1
-        with pytest.raises(ServeReportError, match="surprise"):
-            validate_serve_report(document)
+        with pytest.raises(ReportError, match="surprise"):
+            SERVE_REPORT.validate(document)
 
     def test_wrong_type_rejected(self):
         document = valid_document()
         document["sweep"][0]["totals"]["processed"] = "many"
-        with pytest.raises(ServeReportError):
-            validate_serve_report(document)
+        with pytest.raises(ReportError):
+            SERVE_REPORT.validate(document)
 
     def test_bad_shed_policy_rejected(self):
         document = valid_document()
         document["config"]["shed_policy"] = "coin-flip"
-        with pytest.raises(ServeReportError):
-            validate_serve_report(document)
-
-    def test_write_then_load_roundtrips(self, tmp_path):
-        document = valid_document()
-        path = str(tmp_path / "BENCH_serve.json")
-        write_serve_report(path, document)
-        assert load_serve_report(path) == document
-
-    def test_load_rejects_malformed_json(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(ServeReportError, match="not valid JSON"):
-            load_serve_report(str(path))
-
-    def test_write_refuses_invalid_document(self, tmp_path):
-        document = valid_document()
-        document["schema_version"] = 3
-        with pytest.raises(ServeReportError):
-            write_serve_report(str(tmp_path / "x.json"), document)
-
-
-class TestV1UpgradeShim:
-    def v1_document(self):
-        """A legacy document: v2 minus the overload-era fields."""
-        document = valid_document()
-        document["schema_version"] = 1
-        for entry in document["sweep"]:
-            del entry["totals"]["rejected_infeasible"]
-            del entry["totals"]["overload_transitions"]
-            del entry["totals"]["goodput_fps"]
-            for stream in entry["streams"].values():
-                del stream["rejected_infeasible"]
-                del stream["goodput_fps"]
-        return document
-
-    def test_upgrade_fills_overload_fields(self):
-        upgraded = upgrade_serve_report(self.v1_document())
-        validate_serve_report(upgraded)
-        entry = upgraded["sweep"][0]
-        assert upgraded["schema_version"] == 2
-        assert entry["totals"]["rejected_infeasible"] == 0
-        assert entry["totals"]["overload_transitions"] == 0
-        for stream in entry["streams"].values():
-            assert stream["rejected_infeasible"] == 0
-            assert stream["goodput_fps"] >= 0
-
-    def test_upgrade_recomputes_stream_goodput(self):
-        upgraded = upgrade_serve_report(self.v1_document())
-        entry = upgraded["sweep"][0]
-        makespan = entry["totals"]["makespan_ms"]
-        for scope in [entry["totals"], *entry["streams"].values()]:
-            in_deadline = (scope["processed"] + scope["degraded"]
-                           - scope["deadline_misses"])
-            assert scope["goodput_fps"] == pytest.approx(
-                in_deadline / (makespan / 1000.0), abs=1e-5)
-
-    def test_upgrade_passes_v2_through_unchanged(self):
-        document = valid_document()
-        assert upgrade_serve_report(document) is document
-
-    def test_upgrade_rejects_unknown_versions(self):
-        document = valid_document()
-        document["schema_version"] = 7
-        with pytest.raises(ServeReportError, match="cannot upgrade"):
-            upgrade_serve_report(document)
-
-    def test_loader_accepts_v1_files(self, tmp_path):
-        document = self.v1_document()
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps(document))
-        loaded = load_serve_report(str(path))
-        assert loaded["schema_version"] == 2
-        validate_serve_report(loaded)
+        with pytest.raises(ReportError):
+            SERVE_REPORT.validate(document)

@@ -11,6 +11,7 @@ the snapshot is bit-stable across machines; regenerate with
 from __future__ import annotations
 
 from repro.serve import (
+    SERVE_REPORT,
     DriftServer,
     SchedulerConfig,
     ServeConfig,
@@ -19,7 +20,6 @@ from repro.serve import (
     WorkloadConfig,
     capacity_fps,
     generate_arrivals,
-    validate_serve_report,
 )
 from repro.testing import make_pipeline
 from tests.serve.conftest import gaussian_stream
@@ -77,7 +77,7 @@ def overload_document():
 
 def test_overload_slo_snapshot(golden):
     document = overload_document()
-    validate_serve_report(document)
+    SERVE_REPORT.validate(document)
     totals = document["sweep"][0]["totals"]
     # sanity before pinning: the run genuinely overloads, the controller
     # reacts, and the excess degrades gracefully rather than collapsing
