@@ -60,7 +60,6 @@ from repro.nn.vae import VAE, VAEConfig
 from repro.parallel import (
     BENCH_REPORT,
     BENCH_SCHEMA_VERSION,
-    BatchedFeatureExtractor,
     FleetExecutor,
     FleetTask,
     plan_shards,
@@ -205,14 +204,14 @@ def _stage_entry(seq_s: float, bat_s: float, frames: int) -> dict:
 
 
 def bench_encode(quick: bool) -> dict:
-    """Dense VAE embedding: per-frame encode vs BatchedFeatureExtractor."""
+    """Dense VAE embedding: per-frame sample_embed vs one batched call
+    (bit-identical, since inference is batch-invariant)."""
     n = 128 if quick else 512
     rng = np.random.default_rng(42)
     vae = VAE(VAEConfig(input_shape=(1, 16, 16), latent_dim=DIM,
                         architecture="dense", hidden=64, epochs=1, seed=7))
     vae.fit(rng.uniform(0.0, 1.0, size=(64, 1, 16, 16)))
     frames = rng.uniform(0.0, 1.0, size=(n, 1, 16, 16))
-    extractor = BatchedFeatureExtractor(vae, chunk_size=256, seed=11)
 
     def seq_run():
         seq_rng = np.random.default_rng(11)
@@ -220,7 +219,8 @@ def bench_encode(quick: bool) -> dict:
             vae.sample_embed(frames[i:i + 1], rng=seq_rng)
 
     seq_s = _best_of(seq_run)
-    bat_s = _best_of(lambda: extractor.extract(frames))
+    bat_s = _best_of(lambda: vae.sample_embed(
+        frames, rng=np.random.default_rng(11)))
     return _stage_entry(seq_s, bat_s, n)
 
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Repo health check: byte-compile the library, run the tier-1 suite (with
-# slowest-test timings), the chaos/fault suite, the e2e benchmark harness's
-# own tests, an optional coverage floor, an examples smoke pass, and
-# benchmark/schema smoke passes.  Run from the repo root:
+# slowest-test timings; it includes the fault suite in tests/faults), the
+# e2e benchmark harness's own tests, an optional coverage floor, an
+# examples smoke pass, and benchmark/schema smoke passes.  Run from the
+# repo root:
 #   bash scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -17,9 +18,6 @@ python scripts/check_layers.py
 
 echo "== tier-1 tests =="
 python -m pytest -x -q --durations=10
-
-echo "== chaos suite =="
-python -m pytest -x -q tests/faults
 
 echo "== e2e benchmark harness =="
 # a smoke run of every wall-clock workload through the streaming API, with

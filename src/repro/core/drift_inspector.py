@@ -232,11 +232,13 @@ class DriftInspector:
 
         Prefers posterior *sampling* so the frames' embeddings follow the
         same distribution ``Sigma_T`` was drawn from (Section 4.2.2).  The
-        posterior-noise draws consume :attr:`_embed_rng` exactly as ``B``
-        single-frame calls would (numpy generators fill arrays from the same
-        bit stream), but the encoder's batched matmuls may differ from the
-        single-frame path in low-order mantissa bits on blocked BLAS
-        backends -- see :meth:`observe_batch`.
+        result is bit-identical to ``B`` single-frame calls: the
+        posterior-noise draws consume :attr:`_embed_rng` in the same order
+        (numpy generators fill arrays from one bit stream), and the
+        :mod:`repro.nn` layers infer batch-invariantly.  That is what lets
+        the runtime kernel re-observe the clean prefix of a chunk in one
+        call when it replays a drift flag (see
+        :meth:`~repro.runtime.kernel.RuntimeKernel.step_batch`).
         """
         sample_embed = getattr(self.embedder, "sample_embed", None)
         if sample_embed is not None:
@@ -293,8 +295,8 @@ class DriftInspector:
         self._frame_index += 1
         return decision
 
-    def observe_batch(self, frames: Sequence[np.ndarray],
-                      exact_embed: bool = False) -> List[DriftDecision]:
+    def observe_batch(self,
+                      frames: Sequence[np.ndarray]) -> List[DriftDecision]:
         """Process a window of frames at once; returns per-frame decisions.
 
         Vectorizes the whole per-frame loop: nonconformity scores are
@@ -306,13 +308,12 @@ class DriftInspector:
         identically, so sequential and batched observation can be freely
         interleaved on one inspector.
 
-        The only caveat is the embedder: by default the window is embedded
-        with a single batched ``sample_embed`` call, whose matmuls may
-        differ from the per-frame path in low-order mantissa bits on
-        blocked BLAS backends (the posterior-noise draws themselves stay
-        stream-identical).  Pass ``exact_embed=True`` to embed frame by
-        frame and reproduce the sequential path bit-exactly even with an
-        embedder; pre-embedded latents (no embedder) are always exact.
+        With an embedder the whole window is embedded in one call
+        (:meth:`_embed_block`), bit-identical to per-frame embedding.  Any
+        split of a window therefore observes exactly like the whole: the
+        runtime kernel relies on this when a drift flag at position ``j``
+        rolls a chunk back and it re-observes frames ``[0, j)`` with one
+        call.
         """
         arr = np.asarray(frames, dtype=np.float64)
         if arr.ndim == 1:
@@ -321,20 +322,15 @@ class DriftInspector:
         if n == 0:
             return []
         with self.obs.span("di.observe_batch"):
-            return self._observe_batch_traced(arr, n, exact_embed)
+            return self._observe_batch_traced(arr, n)
 
-    def _observe_batch_traced(self, arr: np.ndarray, n: int,
-                              exact_embed: bool) -> List[DriftDecision]:
+    def _observe_batch_traced(self, arr: np.ndarray,
+                              n: int) -> List[DriftDecision]:
         if self.embedder is not None:
             if self.clock is not None:
                 self.clock.charge("vae_encode", times=n)
             with self.obs.span("di.embed_batch"):
-                if exact_embed:
-                    latents = np.stack(
-                        [self._embed_block(arr[i:i + 1])[0]
-                         for i in range(n)])
-                else:
-                    latents = self._embed_block(arr)
+                latents = self._embed_block(arr)
         else:
             latents = arr.reshape(n, -1)
         if self.clock is not None:

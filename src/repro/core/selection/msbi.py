@@ -93,10 +93,10 @@ class MSBI:
             self.clock.charge("msbi_model_frame", times=frames.shape[0])
         if self.config.batched_testing:
             # vectorized window test: the whole window is scored in one
-            # observe_batch call (exact per-frame embedding keeps it
-            # bit-identical to the sequential loop), and the sticky drift
-            # flag makes any(...) agree with the loop's early-stop verdict
-            decisions = inspector.observe_batch(frames, exact_embed=True)
+            # observe_batch call (bit-identical to the sequential loop),
+            # and the sticky drift flag makes any(...) agree with the
+            # loop's early-stop verdict
+            decisions = inspector.observe_batch(frames)
             return any(d.drift for d in decisions)
         drift = False
         for frame in frames:

@@ -44,7 +44,15 @@ class Layer:
 
 
 class Dense(Layer):
-    """Fully connected layer ``y = x @ W + b``."""
+    """Fully connected layer ``y = x @ W + b``.
+
+    Inference (``training=False``) is batch-invariant: every row goes
+    through its own vector-matrix product, the same BLAS gemv a one-row
+    ``x[i:i+1] @ W`` issues, so a row's output is bit-identical whatever
+    batch it arrives in.  A blocked gemm over the whole batch would sum in
+    a batch-size-dependent order and differ in the last bits.  Training
+    keeps the gemm.
+    """
 
     def __init__(self, in_features: int, out_features: int,
                  seed: SeedLike = None, init: str = "he") -> None:
@@ -81,8 +89,9 @@ class Dense(Layer):
         if x.shape[1] != self.in_features:
             raise DimensionMismatchError(
                 f"Dense built for {self.in_features} features, got {x.shape[1]}")
-        if training:
-            self._x = x
+        if not training:
+            return np.matmul(x[:, None, :], self.W)[:, 0, :] + self.b
+        self._x = x
         return x @ self.W + self.b
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -289,11 +298,10 @@ class Sigmoid(Layer):
         self._out: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        out = np.empty_like(x, dtype=np.float64)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
+        # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: the
+        # exponent is never positive, so nothing overflows
+        ex = np.exp(-np.abs(x))
+        out = np.where(x >= 0, 1.0, ex) / (1.0 + ex)
         if training:
             self._out = out
         return out

@@ -3,8 +3,6 @@
 The package scales the per-frame algorithms to fleet workloads without
 giving up reproducibility:
 
-- :mod:`repro.parallel.batching` -- :class:`BatchedFeatureExtractor`, a
-  chunked batched front-end for VAE-style embedders.
 - :mod:`repro.parallel.transport` -- frame transports between the fleet
   parent and its workers: :class:`FrameRing` (shared-memory slots,
   zero-copy worker views, explicit ownership handoff) and
@@ -31,7 +29,6 @@ pipeline layer guarantees the per-stream half of this contract
 the executor adds per-stream seed isolation and a submission-order merge.
 """
 
-from repro.parallel.batching import BatchedFeatureExtractor
 from repro.parallel.fleet import (
     FleetExecutor,
     FleetTask,
@@ -56,7 +53,6 @@ from repro.parallel.transport import (
 )
 
 __all__ = [
-    "BatchedFeatureExtractor",
     "FleetExecutor",
     "FleetTask",
     "FleetTaskResult",

@@ -305,16 +305,23 @@ class RuntimeKernel:
         sequential processing (and different chunkings of the same stream,
         e.g. after a checkpoint restore) are interchangeable.
 
-        Monitoring chunks are observed with the monitor's batched path in
-        one call and emitted with one batched classifier call.  The
-        batching is *optimistic*: the monitor and clock are snapshotted
-        (via :class:`~repro.runtime.protocols.Snapshotable`) before each
-        chunk, and a drift flag anywhere inside it rolls both back and
-        replays the chunk frame by frame so the post-drift buffering,
-        cooldown and selection logic run exactly as the sequential path.
-        Frames arriving outside monitor mode (buffer filling, cooldown)
-        take the scalar path directly, as does every frame when the
-        monitor supports no batched observation.
+        Monitoring chunks, cooldown frames included, are observed with the
+        monitor's batched path in one call and emitted with one batched
+        classifier call.  The batching is *optimistic*: the monitor, clock
+        and recorder are snapshotted (via
+        :class:`~repro.runtime.protocols.Snapshotable`) before each chunk.
+        A drift flag at chunk position ``j`` rolls them back and replays
+        the prefix: frames ``[0, j)`` are re-observed with one
+        ``observe_batch`` (batched observation is bit-identical to
+        per-frame observation for any split) and emitted with one
+        ``emit_batch``.  Frame ``j`` alone then takes the sequential path,
+        where post-drift buffering, cooldown resets and selection run
+        exactly as in :meth:`step`, and the rest of the chunk, already
+        admitted, is batched again while the kernel keeps monitoring.  A
+        one-frame chunk or remainder gains nothing from rollback and takes
+        the scalar path without a snapshot, as do frames arriving outside
+        monitor mode (buffer filling) and every frame when the monitor
+        supports no batched observation.
         """
         if batch_size <= 0:
             raise ConfigurationError(
@@ -325,49 +332,68 @@ class RuntimeKernel:
         records: List[FrameRecord] = []
         i = 0
         while i < len(items):
-            if (self._mode != self._MODE_MONITOR
-                    or self._frames_since_swap < self.config.cooldown_frames
-                    or self.monitor.drift_detected
-                    or not self.monitor.supports_rollback):
+            stop = min(i + batch_size, len(items))
+            if stop - i == 1 or not self._batchable():
                 records.extend(self.step(items[i]))
                 i += 1
                 continue
-            chunk = items[i:i + batch_size]
-            i += len(chunk)
+            chunk = items[i:stop]
+            i = stop
+            # a uniformly clean chunk takes one vectorized guard pass in
+            # place of len(chunk) scalar admits; its items pass untouched
             pixels = self.admission.admit_batch(chunk)
-            if pixels is not None:
-                # uniformly clean chunk: one vectorized guard pass stands in
-                # for len(chunk) scalar admits; items pass through untouched
-                admitted = None
-            else:
-                entries = []
-                for item in chunk:
-                    entry = self.admission.admit(item)
-                    if entry is not None:
-                        entries.append(entry)
+            if pixels is None:
+                entries = [entry for entry in map(self.admission.admit, chunk)
+                           if entry is not None]
                 if not entries:
                     continue
-                admitted = entries
+                chunk = [item for item, _ in entries]
                 pixels = np.stack([p for _, p in entries])
-            # optimistic batched observation: snapshot the monitor and
-            # clock so a drift inside the chunk can roll back and replay
-            # with sequential-exact accounting
+            records.extend(self._monitor_admitted(chunk, pixels))
+        return records
+
+    def _batchable(self) -> bool:
+        """Whether the next frame may take the optimistic batched path."""
+        return (self._mode == self._MODE_MONITOR
+                and not self.monitor.drift_detected
+                and self.monitor.supports_rollback)
+
+    def _monitor_admitted(self, items: List[object],
+                          pixels: np.ndarray) -> List[FrameRecord]:
+        """Monitor admitted ``items`` (with their stacked ``pixels``) by
+        optimistic batches, replaying each drift flag (see
+        :meth:`step_batch`)."""
+        records: List[FrameRecord] = []
+        start, n = 0, pixels.shape[0]
+        while start < n:
+            if n - start == 1 or not self._batchable():
+                records.extend(self._step_admitted(items[start],
+                                                   pixels[start]))
+                start += 1
+                continue
+            # optimistic batched observation: snapshot the monitor, clock
+            # and recorder so a drift flag inside the block can roll back
+            block = pixels[start:]
             monitor_snapshot = self.monitor.snapshot()
             clock_state = self.clock.state_dict()
             obs_state = self.obs.state_dict()
-            flags = self.monitor.observe_batch(pixels)
+            flags = self.monitor.observe_batch(block)
             if not any(flags):
-                self._frames_since_swap += pixels.shape[0]
+                self._frames_since_swap += block.shape[0]
                 records.extend(self.emission.emit_batch(self.deployed,
-                                                        pixels))
-                continue
+                                                        block))
+                break
+            j = flags.index(True)
             self.monitor.restore(monitor_snapshot)
             self.clock.load_state_dict(clock_state)
             self.obs.load_state_dict(obs_state)
-            if admitted is None:
-                admitted = list(zip(chunk, pixels))
-            for entry in admitted:
-                records.extend(self._step_admitted(*entry))
+            if j:
+                self.monitor.observe_batch(block[:j])
+                self._frames_since_swap += j
+                records.extend(self.emission.emit_batch(self.deployed,
+                                                        block[:j]))
+            records.extend(self._step_admitted(items[start + j], block[j]))
+            start += j + 1
         return records
 
     def flush(self) -> List[FrameRecord]:

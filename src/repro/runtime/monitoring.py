@@ -10,15 +10,16 @@ axes of variation:
   object with a ``drift`` attribute; :meth:`drift_of` reads either.
 - **batching**: monitors that implement ``observe_batch`` *and*
   :class:`~repro.runtime.protocols.Snapshotable` support the optimistic
-  vectorized path (snapshot, observe the chunk at once, roll back on a
-  drift flag).  Anything else reports ``supports_rollback = False`` and the
+  vectorized path (snapshot, observe the chunk at once, and on a drift
+  flag roll back and re-observe the frames before it in one call).  Their
+  ``observe_batch`` must match ``observe`` frame by frame over any split
+  of a chunk.  Anything else reports ``supports_rollback = False`` and the
   kernel drives it frame by frame, so batched execution stays bit-identical
   to sequential for every monitor.
 """
 
 from __future__ import annotations
 
-import inspect
 from typing import List, Optional
 
 import numpy as np
@@ -32,18 +33,13 @@ class MonitorStage:
 
     def __init__(self, monitor: DriftMonitor) -> None:
         self.monitor = monitor
-        batch_fn = getattr(monitor, "observe_batch", None)
-        self._batch_kwargs: dict = {}
-        self._supports_batch = callable(batch_fn)
-        if self._supports_batch:
-            try:
-                parameters = inspect.signature(batch_fn).parameters
-            except (TypeError, ValueError):
-                parameters = {}
-            if "exact_embed" in parameters:
-                # bit-exactness contract: batched embedding must replay the
-                # per-frame RNG stream, not consume a vectorized one
-                self._batch_kwargs = {"exact_embed": True}
+        #: Whether the optimistic batched path can run on this monitor.
+        #: Fixed by the monitor's type, so it is computed once: the
+        #: ``isinstance`` against a runtime-checkable protocol costs
+        #: microseconds, and the kernel asks before every chunk.
+        self.supports_rollback = (
+            callable(getattr(monitor, "observe_batch", None))
+            and isinstance(monitor, Snapshotable))
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -59,11 +55,6 @@ class MonitorStage:
     def drift_frame(self) -> Optional[int]:
         return self.monitor.drift_frame
 
-    @property
-    def supports_rollback(self) -> bool:
-        """Whether the optimistic batched path can run on this monitor."""
-        return self._supports_batch and isinstance(self.monitor, Snapshotable)
-
     # ------------------------------------------------------------------
     def observe(self, pixels: np.ndarray) -> bool:
         """Feed one admitted frame; returns the normalized drift flag."""
@@ -71,7 +62,7 @@ class MonitorStage:
 
     def observe_batch(self, pixels: np.ndarray) -> List[bool]:
         """Feed a ``(B, ...)`` stack; returns per-frame drift flags."""
-        decisions = self.monitor.observe_batch(pixels, **self._batch_kwargs)
+        decisions = self.monitor.observe_batch(pixels)
         return [self.drift_of(decision) for decision in decisions]
 
     def reset(self) -> None:

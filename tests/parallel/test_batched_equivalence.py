@@ -21,7 +21,6 @@ from repro.core.martingale import AdditiveMartingale, MultiplicativeMartingale
 from repro.core.nonconformity import KNNDistance
 from repro.core.pvalues import PValueCalculator
 from repro.core.selection.msbi import MSBI, MSBIConfig
-from repro.parallel import BatchedFeatureExtractor
 
 from tests.parallel.conftest import (
     DIM,
@@ -253,60 +252,3 @@ def test_msbi_batched_testing_matches_sequential(window_frames):
         results[batched] = (selected, selector.last_report.rounds,
                             selector.last_report.drift_flags)
     assert results[True] == results[False]
-
-
-# ----------------------------------------------------------------------
-# feature extractor
-# ----------------------------------------------------------------------
-class _ElementwiseEmbedder:
-    """Batched == per-frame exactly (no matmul reassociation)."""
-
-    def embed(self, frames):
-        arr = np.asarray(frames, dtype=np.float64)
-        return (arr * 2.0 + 1.0).reshape(arr.shape[0], -1)
-
-
-class _SamplingEmbedder:
-    """Adds posterior noise from the provided rng (stream-order test)."""
-
-    def sample_embed(self, frames, rng=None):
-        arr = np.asarray(frames, dtype=np.float64).reshape(
-            np.asarray(frames).shape[0], -1)
-        return arr + rng.standard_normal(arr.shape)
-
-
-def test_extractor_batched_matches_per_frame_for_elementwise():
-    frames = np.random.default_rng(0).normal(size=(50, DIM))
-    extractor = BatchedFeatureExtractor(_ElementwiseEmbedder(), chunk_size=16)
-    per_frame = np.vstack([_ElementwiseEmbedder().embed(frames[i:i + 1])
-                           for i in range(len(frames))])
-    assert np.array_equal(extractor.extract(frames), per_frame)
-
-
-def test_extractor_exact_mode_consumes_rng_like_per_frame():
-    frames = np.random.default_rng(1).normal(size=(30, DIM))
-    exact = BatchedFeatureExtractor(_SamplingEmbedder(), exact=True, seed=5)
-    manual_rng = np.random.default_rng(5)
-    manual = np.vstack([_SamplingEmbedder().sample_embed(frames[i:i + 1],
-                                                         rng=manual_rng)
-                        for i in range(len(frames))])
-    assert np.array_equal(exact.extract(frames), manual)
-
-
-def test_extractor_batched_mode_keeps_rng_stream_aligned():
-    """Chunked sampling consumes the same bit stream as per-frame draws
-    (numpy fills arrays from one stream), so latents match exactly for a
-    sampling embedder whose deterministic part is elementwise."""
-    frames = np.random.default_rng(2).normal(size=(40, DIM))
-    batched = BatchedFeatureExtractor(_SamplingEmbedder(), chunk_size=16,
-                                      seed=6)
-    manual_rng = np.random.default_rng(6)
-    manual = np.vstack([_SamplingEmbedder().sample_embed(frames[i:i + 1],
-                                                         rng=manual_rng)
-                        for i in range(len(frames))])
-    assert np.array_equal(batched.extract(frames), manual)
-
-
-def test_extractor_rejects_bad_chunk_size():
-    with pytest.raises(Exception):
-        BatchedFeatureExtractor(_ElementwiseEmbedder(), chunk_size=0)
