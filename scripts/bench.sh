@@ -109,9 +109,10 @@ PY
         ;;
     cascade-smoke)
         # quick frontier to a throwaway file, then hold the headline
-        # cascade mode to the ISSUE bars: stationary escalation <= 20% at
-        # >= 3x lower simulated cost than always-on DI, and abrupt
-        # detection delay within 2x of the always-on ceiling
+        # cascade mode to the frontier bars: stationary escalation <= 20%
+        # at >= 3x lower *modelled* cost (PAPER_COSTS us/frame, not the
+        # wall clock) than always-on DI, and abrupt detection delay
+        # within 2x of the always-on ceiling
         smoke_dir="$(mktemp -d)"
         trap 'rm -rf "$smoke_dir"' EXIT
         PYTHONPATH=src python benchmarks/bench_cascade.py --quick \
@@ -129,8 +130,8 @@ assert cascade["stationary_escalated_pct"] <= 20.0, (
     f"blew the 20% budget")
 assert cascade["stationary_us_per_frame"] <= \
     always["stationary_us_per_frame"] / 3.0, (
-    f"cascade costs {cascade['stationary_us_per_frame']:.0f} us/frame; "
-    f"needs >= 3x under always-on DI's "
+    f"cascade costs {cascade['stationary_us_per_frame']:.0f} modelled "
+    f"us/frame; needs >= 3x under always-on DI's "
     f"{always['stationary_us_per_frame']:.0f}")
 assert cascade["abrupt_detected_runs"] == always["abrupt_detected_runs"], (
     "cascade missed an abrupt drift the always-on DI caught")
@@ -138,11 +139,11 @@ assert cascade["abrupt_delay"] <= 2.0 * always["abrupt_delay"], (
     f"abrupt delay {cascade['abrupt_delay']:.1f} frames; needs <= 2x "
     f"always-on DI's {always['abrupt_delay']:.1f}")
 print(f"cascade smoke OK: {report['default_mode']} at "
-      f"{cascade['stationary_us_per_frame']:.0f} us/frame "
+      f"{cascade['stationary_us_per_frame']:.0f} modelled us/frame "
       f"({cascade['stationary_escalated_pct']:.1f}% escalated, "
       f"abrupt delay {cascade['abrupt_delay']:.1f} vs always-on "
       f"{always['abrupt_delay']:.1f} frames at "
-      f"{always['stationary_us_per_frame']:.0f} us/frame)")
+      f"{always['stationary_us_per_frame']:.0f} modelled us/frame)")
 PY
         ;;
     all)

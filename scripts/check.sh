@@ -144,7 +144,9 @@ print(f"{len(builtin_scripts())} built-in scripts compile to "
 PY
 echo "== cascade smoke =="
 # the committed cascade frontier must satisfy CASCADE_SCHEMA and its
-# headline mode must hold the ISSUE bars against the always-on ceiling
+# headline mode must hold the frontier bars against the always-on
+# ceiling.  The 3x cost bar is on *modelled* us/frame (PAPER_COSTS:
+# pixelstat_screen against the VAE+DI ops), not on the wall clock.
 python - <<'PY'
 from repro.cascade import CASCADE_REPORT, frontier_summary
 
@@ -158,14 +160,14 @@ assert cascade["stationary_escalated_pct"] <= 20.0, (
     f"blew the 20% budget")
 assert cascade["stationary_us_per_frame"] <= \
     always["stationary_us_per_frame"] / 3.0, (
-    f"cascade costs {cascade['stationary_us_per_frame']:.0f} us/frame; "
-    f"needs >= 3x under always-on DI")
+    f"cascade costs {cascade['stationary_us_per_frame']:.0f} modelled "
+    f"us/frame; needs >= 3x under always-on DI")
 assert cascade["abrupt_detected_runs"] == always["abrupt_detected_runs"]
 assert cascade["abrupt_delay"] <= 2.0 * always["abrupt_delay"]
 print(f"BENCH_cascade.json valid ({len(summary)} modes; "
       f"{report['default_mode']}: "
-      f"{cascade['stationary_us_per_frame']:.0f} us/frame vs always-on "
-      f"{always['stationary_us_per_frame']:.0f}, "
+      f"{cascade['stationary_us_per_frame']:.0f} modelled us/frame vs "
+      f"always-on {always['stationary_us_per_frame']:.0f}, "
       f"{cascade['stationary_escalated_pct']:.1f}% escalated)")
 PY
 # every example must run end to end in quick mode

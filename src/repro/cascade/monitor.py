@@ -33,7 +33,7 @@ histograms, and a ``cascade.escalated`` logical event per window opening.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -157,6 +157,14 @@ class CascadeMonitor:
         ``cascade.escalated`` event per window opening.  Both default to
         inert (zoo-built cascades run bare).
 
+    Block screening: ``observe_batch`` screens a whole chunk with one
+    tier-0 ``observe_batch`` call, runs :meth:`EscalationPolicy.decide`
+    over the suspicions in frame order, and feeds every escalated frame
+    to tier 1 in one ``observe_batch`` call.  Both tiers' batched paths
+    are bit-identical to frame-by-frame observation, so any split of a
+    stream gives the same decisions, state, clock ledger and telemetry;
+    ``observe`` is the one-frame block.
+
     ``observe_batch`` is only *bound* when both tiers individually
     qualify for the kernel's optimistic batched path (callable
     ``observe_batch`` + Snapshotable).  A tier-1 monitor without a
@@ -244,46 +252,90 @@ class CascadeMonitor:
 
     # ------------------------------------------------------------------
     def observe(self, pixels: np.ndarray) -> CascadeDecision:
-        if self.clock is not None:
-            for op in self.tier0_ops:
-                self.clock.charge(op)
-        suspicion = self._suspicion_of(self.tier0.observe(pixels))
-        was_open = self.policy.escalated
-        escalated = self.policy.decide(suspicion)
-        if escalated:
-            self._frames_escalated += 1
-            if not was_open:
-                self._escalations += 1
-                self.obs.event("cascade.escalated", frame=self._frame_index,
-                               suspicion=round(suspicion, 6))
-            if self.clock is not None:
-                for op in self.tier1_ops:
-                    self.clock.charge(op)
-            verdict = self.tier1.observe(pixels)
-            drift_now = bool(getattr(verdict, "drift", verdict))
-            if ((drift_now or self.tier1.drift_detected)
-                    and self._drift_frame is None):
-                self._drift_frame = self._frame_index
-            self.obs.histogram("cascade.tier1_us", _US_BUCKETS).observe(
-                self._tier1_us)
-        self.obs.counter("cascade.frames").inc()
-        if escalated:
-            self.obs.counter("cascade.escalated_frames").inc()
-        self.obs.histogram("cascade.tier0_us", _US_BUCKETS).observe(
-            self._tier0_us)
-        self._frame_index += 1
-        return CascadeDecision(drift=self.drift_detected,
-                               escalated=escalated, suspicion=suspicion)
+        return self._route(np.asarray(pixels)[None, ...],
+                           [self.tier0.observe(pixels)])[0]
 
     def _observe_batch(self, frames: np.ndarray) -> List[CascadeDecision]:
-        """Observe a ``(B, ...)`` stack frame by frame (the loop is the
-        implementation, so batched == sequential bit for bit).  Bound as
-        ``observe_batch`` only when both tiers qualify -- see the class
-        docstring."""
+        """Screen a ``(B, ...)`` stack with one tier-0 ``observe_batch``
+        and feed its escalated frames to tier 1 in one call; bit-identical
+        to observing the frames one by one.  Bound as ``observe_batch``
+        only when both tiers qualify -- see the class docstring."""
         arr = np.asarray(frames)
         if arr.ndim == 1:
             arr = arr[None, :]
-        return [self.observe(frame) for frame in arr]
+        if arr.shape[0] == 0:
+            return []
+        return self._route(arr, self.tier0.observe_batch(arr))
+
+    def _route(self, frames: np.ndarray,
+               screened: list) -> List[CascadeDecision]:
+        """Escalate a screened block and run tier 1 on the escalated
+        frames.
+
+        The policy, clock, counters, histograms and ``cascade.escalated``
+        events advance frame by frame exactly as single observations
+        advance them.  Tier 1 then sees every escalated frame of the
+        block in one call (``observe`` for a lone frame), and the cascade
+        latches at the first escalated frame whose tier-1 verdict reports
+        drift.
+        """
+        start = self._frame_index
+        clock = self.clock
+        suspicions = []
+        escalated = []
+        for offset, verdict in enumerate(screened):
+            if clock is not None:
+                for op in self.tier0_ops:
+                    clock.charge(op)
+            suspicion = self._suspicion_of(verdict)
+            suspicions.append(suspicion)
+            was_open = self.policy.escalated
+            if not self.policy.decide(suspicion):
+                continue
+            escalated.append(offset)
+            if not was_open:
+                self._escalations += 1
+                self.obs.event("cascade.escalated", frame=start + offset,
+                               suspicion=round(suspicion, 6))
+            if clock is not None:
+                for op in self.tier1_ops:
+                    clock.charge(op)
+        if escalated:
+            self._run_tier1(frames, escalated, start)
+            self._frames_escalated += len(escalated)
+            self.obs.histogram("cascade.tier1_us", _US_BUCKETS).observe_many(
+                [self._tier1_us] * len(escalated))
+            self.obs.counter("cascade.escalated_frames").inc(len(escalated))
+        self.obs.counter("cascade.frames").inc(len(screened))
+        self.obs.histogram("cascade.tier0_us", _US_BUCKETS).observe_many(
+            [self._tier0_us] * len(screened))
+        self._frame_index = start + len(screened)
+        drift_frame = self._drift_frame
+        escalated_set = set(escalated)
+        return [CascadeDecision(
+            drift=drift_frame is not None and drift_frame <= start + offset,
+            escalated=offset in escalated_set, suspicion=suspicion)
+            for offset, suspicion in enumerate(suspicions)]
+
+    def _run_tier1(self, frames: np.ndarray, escalated: List[int],
+                   start: int) -> None:
+        """Feed the escalated frames (block offsets) to tier 1 and latch
+        the cascade's drift frame on tier 1's first drift verdict."""
+        latched = self.tier1.drift_detected
+        if len(escalated) == 1:
+            verdicts = [self.tier1.observe(frames[escalated[0]])]
+        else:
+            verdicts = self.tier1.observe_batch(frames[escalated])
+        if self._drift_frame is not None:
+            return
+        flags = [latched or bool(getattr(verdict, "drift", verdict))
+                 for verdict in verdicts]
+        # the latch itself, read after the call, covers the last frame
+        flags[-1] = flags[-1] or self.tier1.drift_detected
+        for offset, flag in zip(escalated, flags):
+            if flag:
+                self._drift_frame = start + offset
+                return
 
     def reset(self) -> None:
         """Re-arm both tiers and the escalation machine."""

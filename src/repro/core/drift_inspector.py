@@ -20,7 +20,7 @@ the martingale trajectory for diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,6 +85,36 @@ class DriftInspectorConfig:
                 f"got {self.betting!r}")
 
 
+def calibrate_reference(reference: np.ndarray,
+                        measure: NonconformityMeasure,
+                        inductive_split: bool = True
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+    """The Drift Inspector's scoring bag and calibration scores ``A_i``.
+
+    With ``inductive_split`` (the default) ``Sigma_T`` is split in half:
+    the first half is the KNN *bag*, the second half the calibration
+    points whose scores against the bag form ``A_i``.  Incoming frames
+    are scored against the same bag, so calibration and test scores are
+    exchangeable by construction.  Precomputing leave-one-out scores over
+    the full ``Sigma_T`` instead (the paper-literal mode, used when
+    ``inductive_split=False`` or below 8 reference points, and by the
+    inspector whenever ``reference_scores`` are supplied) biases test
+    p-values toward 1: a test frame picks neighbours among ``n``
+    candidates while each reference point only had ``n - 1``.
+
+    A pure function of its arguments, so it can be computed once per
+    reference and shared (see
+    :meth:`~repro.core.selection.registry.ModelBundle.calibration`).
+    """
+    if inductive_split and reference.shape[0] >= 8:
+        half = reference.shape[0] // 2
+        bag, calibration = reference[:half], reference[half:]
+        # score_batch is bit-identical to scoring point by point and
+        # turns the O(N) construction loop into one broadcast
+        return bag, measure.score_batch(calibration, bag)
+    return reference, measure.reference_scores(reference)
+
+
 @dataclass
 class DriftDecision:
     """Per-frame output of the inspector."""
@@ -120,6 +150,13 @@ class DriftInspector:
         embedding spans), counted, and their p-values folded into the
         ``di.p_value`` histogram.  Recording is passive -- it cannot alter
         a decision -- and defaults to the shared no-op recorder.
+    calibration:
+        Optional precomputed ``(bag, A_i)`` pair, exactly what
+        :func:`calibrate_reference` returns for ``reference`` and this
+        configuration's measure -- typically
+        :meth:`~repro.core.selection.registry.ModelBundle.calibration`,
+        which computes it once per bundle.  It replaces the split and
+        scoring every construction would otherwise redo.
     """
 
     def __init__(self, reference: np.ndarray,
@@ -128,7 +165,9 @@ class DriftInspector:
                  reference_scores: Optional[np.ndarray] = None,
                  measure: Optional[NonconformityMeasure] = None,
                  clock: Optional[SimulatedClock] = None,
-                 recorder: Optional[object] = None) -> None:
+                 recorder: Optional[object] = None,
+                 calibration: Optional[Tuple[np.ndarray, np.ndarray]] = None
+                 ) -> None:
         self.config = config or DriftInspectorConfig()
         self.reference = np.asarray(reference, dtype=np.float64)
         if self.reference.ndim != 2 or self.reference.shape[0] < 2:
@@ -136,8 +175,11 @@ class DriftInspector:
                 f"reference Sigma_T must be (N>=2, D), got {self.reference.shape}")
         self.embedder = embedder
         self.measure = measure or KNNDistance(k=self.config.k)
-        self._bag, self.reference_scores = self._prepare_reference(
-            self.reference, reference_scores)
+        if calibration is not None:
+            self._bag, self.reference_scores = calibration
+        else:
+            self._bag, self.reference_scores = self._prepare_reference(
+                self.reference, reference_scores)
         rng = ensure_rng(self.config.seed)
         self._pvalue = PValueCalculator(self.reference_scores, seed=rng)
         # dedicated rng for posterior-sampled embeddings: sharing the VAE's
@@ -184,18 +226,9 @@ class DriftInspector:
     # ------------------------------------------------------------------
     def _prepare_reference(self, reference: np.ndarray,
                            reference_scores: Optional[np.ndarray]):
-        """Build the scoring bag and calibration scores ``A_i``.
-
-        With ``inductive_split`` (the default) ``Sigma_T`` is split in half:
-        the first half is the KNN *bag*, the second half the calibration
-        points whose scores against the bag form ``A_i``.  Incoming frames
-        are scored against the same bag, so calibration and test scores are
-        exchangeable by construction.  Precomputing leave-one-out scores
-        over the full ``Sigma_T`` instead (the paper-literal mode, used when
-        ``inductive_split=False`` or when ``reference_scores`` are supplied)
-        biases test p-values toward 1: a test frame picks neighbours among
-        ``n`` candidates while each reference point only had ``n - 1``.
-        """
+        """Build the scoring bag and calibration scores ``A_i`` (see
+        :func:`calibrate_reference`); supplied ``reference_scores`` are
+        leave-one-out scores over the whole of ``reference``."""
         if reference_scores is not None:
             scores = np.asarray(reference_scores, dtype=np.float64)
             if scores.shape[0] != reference.shape[0]:
@@ -203,14 +236,8 @@ class DriftInspector:
                     f"reference_scores length {scores.shape[0]} != "
                     f"reference size {reference.shape[0]}")
             return reference, scores
-        if self.config.inductive_split and reference.shape[0] >= 8:
-            half = reference.shape[0] // 2
-            bag, calibration = reference[:half], reference[half:]
-            # score_batch is bit-identical to scoring point by point and
-            # turns the O(N) construction loop into one broadcast
-            scores = self.measure.score_batch(calibration, bag)
-            return bag, scores
-        return reference, self.measure.reference_scores(reference)
+        return calibrate_reference(reference, self.measure,
+                                   self.config.inductive_split)
 
     # ------------------------------------------------------------------
     @property

@@ -88,7 +88,8 @@ class MSBI:
             betting_epsilon=self.config.betting_epsilon,
             seed=self.config.seed)
         inspector = DriftInspector(
-            bundle.sigma, config=di_config, embedder=bundle.vae)
+            bundle.sigma, config=di_config, embedder=bundle.vae,
+            calibration=bundle.calibration(di_config.k))
         if self.clock is not None:
             self.clock.charge("msbi_model_frame", times=frames.shape[0])
         if self.config.batched_testing:

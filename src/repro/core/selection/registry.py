@@ -9,10 +9,12 @@ model ``M_i``, and (for MSBO) the deep ensemble ``{M_{i,l}}``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.drift_inspector import calibrate_reference
+from repro.core.nonconformity import KNNDistance
 from repro.errors import RegistryError
 
 
@@ -50,7 +52,8 @@ class ModelBundle:
         Deep ensemble of L models for MSBO uncertainty (may be ``None`` when
         only DI / MSBI are used -- MSBI is fully unsupervised).
     training_frames / training_labels:
-        Optional retained training data (used by MSBO calibration).
+        Optional retained training data (used by MSBO calibration, and as
+        the tier-0 screen's pixel reference).
     """
 
     name: str
@@ -62,6 +65,8 @@ class ModelBundle:
     training_frames: Optional[np.ndarray] = None
     training_labels: Optional[np.ndarray] = None
     metadata: Dict[str, object] = field(default_factory=dict)
+    _calibrations: Dict[Tuple[int, bool], tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.sigma = np.asarray(self.sigma, dtype=np.float64)
@@ -76,6 +81,28 @@ class ModelBundle:
                 f"bundle {self.name!r}: reference_scores length "
                 f"{self.reference_scores.shape[0]} != sigma size "
                 f"{self.sigma.shape[0]}")
+
+    def calibration(self, k: int, inductive_split: bool = True
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The Drift Inspector's ``(bag, A_i)`` for ``sigma`` under a
+        ``k``-NN measure (:func:`~repro.core.drift_inspector.
+        calibrate_reference`), computed once per ``k`` and split mode.
+
+        Every deploy and every MSBI candidate test builds an inspector
+        against this bundle; they all share the same read-only arrays,
+        so their p-values are exactly those of a fresh calibration.
+        Reassigning ``sigma`` invalidates the memo.
+        """
+        key = (int(k), bool(inductive_split))
+        cached = self._calibrations.get(key)
+        if cached is None or cached[0] is not self.sigma:
+            bag, scores = calibrate_reference(self.sigma, KNNDistance(k),
+                                              inductive_split)
+            bag.flags.writeable = False
+            scores.flags.writeable = False
+            cached = (self.sigma, (bag, scores))
+            self._calibrations[key] = cached
+        return cached[1]
 
     def embed(self, frames: np.ndarray) -> np.ndarray:
         """Embed raw frames with this bundle's VAE (identity without one).

@@ -29,17 +29,21 @@ two-sided deviation).  Sustained suspicion latches a standalone drift
 verdict; the cascade layer (:mod:`repro.cascade`) instead reads the
 per-frame suspicion to decide when to escalate to a tier-1 detector.
 
-The monitor is fully :class:`~repro.runtime.protocols.Snapshotable` and
-its ``observe_batch`` is a frame loop, so batched observation is
-definitionally bit-identical to sequential observation and the kernel's
-optimistic batched-rollback path applies.
+The functions above are the reference implementations.  The monitor
+computes the same four statistics for a whole ``(B, ...)`` chunk at once
+(:meth:`PixelStatMonitor.block_stats`): row-wise moments, a batched
+central-difference or Sobel gradient and integer IoU counts, against
+reference-side quantities computed once at construction.  Every value is
+bit for bit what the reference functions give frame by frame, so one
+frame and any split of a stream observe alike.  The monitor is fully
+:class:`~repro.runtime.protocols.Snapshotable`, which qualifies it for
+the kernel's optimistic batched-rollback path.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,12 +54,11 @@ from repro.errors import (
 )
 
 #: The tracked statistics, in a fixed order (baselines, rolling windows
-#: and state dicts are all keyed by these names).
+#: and state dicts are all keyed by these names).  The similarity
+#: statistics come first: drift shows as a *drop* in them, so only the
+#: negative side of their z-score raises suspicion, while brightness and
+#: variance alarm on any two-sided deviation.
 STAT_NAMES: Tuple[str, ...] = ("ssim", "edge_iou", "brightness", "variance")
-
-#: Similarity statistics: drift manifests as a *drop*, so only the
-#: negative side of their z-score raises suspicion.
-_DROP_STATS = frozenset({"ssim", "edge_iou"})
 
 #: Numerical floor for spans and spreads (avoids division by zero on
 #: degenerate constant references).
@@ -91,11 +94,6 @@ def ssim_index(a: np.ndarray, b: np.ndarray) -> float:
     score = (((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2))
              / ((mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)))
     return float(min(max(score, 0.0), 1.0))
-
-
-_SOBEL = np.array([[-1.0, 0.0, 1.0],
-                   [-2.0, 0.0, 2.0],
-                   [-1.0, 0.0, 1.0]])
 
 
 def gradient_magnitude(frame: np.ndarray) -> np.ndarray:
@@ -157,6 +155,55 @@ def edge_iou(a: np.ndarray, b: np.ndarray, tau: float = 0.25) -> float:
     return intersection / union
 
 
+def _block_gradient(frames: np.ndarray) -> np.ndarray:
+    """:func:`gradient_magnitude` of every frame of a C-contiguous
+    float64 ``(B, ...)`` stack, bit for bit (same operations, same
+    order, on a leading batch axis)."""
+    arr = frames.mean(axis=-1) if frames.ndim == 4 else frames
+    if arr.ndim == 2:
+        if arr.shape[1] < 2:
+            return np.zeros_like(arr)
+        grad = np.empty_like(arr)
+        # np.gradient: central differences inside, one-sided at the ends
+        grad[:, 1:-1] = (arr[:, 2:] - arr[:, :-2]) / 2.0
+        grad[:, 0] = arr[:, 1] - arr[:, 0]
+        grad[:, -1] = arr[:, -1] - arr[:, -2]
+        return np.abs(grad, out=grad)
+    if arr.ndim != 3:
+        raise DimensionMismatchError(
+            f"gradient_magnitude expects a 1-D, 2-D or 3-D frame, got "
+            f"shape {frames.shape[1:]}")
+    b, h, w = arr.shape
+    padded = np.empty((b, h + 2, w + 2))      # np.pad(mode="edge")
+    padded[:, 1:-1, 1:-1] = arr
+    padded[:, 0, 1:-1] = arr[:, 0]
+    padded[:, -1, 1:-1] = arr[:, -1]
+    padded[:, :, 0] = padded[:, :, 1]
+    padded[:, :, -1] = padded[:, :, -2]
+    gx = (padded[:, :-2, 2:] + 2.0 * padded[:, 1:-1, 2:] + padded[:, 2:, 2:]
+          - padded[:, :-2, :-2] - 2.0 * padded[:, 1:-1, :-2]
+          - padded[:, 2:, :-2])
+    gy = (padded[:, 2:, :-2] + 2.0 * padded[:, 2:, 1:-1] + padded[:, 2:, 2:]
+          - padded[:, :-2, :-2] - 2.0 * padded[:, :-2, 1:-1]
+          - padded[:, :-2, 2:])
+    return np.sqrt(gx * gx + gy * gy)
+
+
+def _row_mean(rows: np.ndarray) -> np.ndarray:
+    """``rows.mean(axis=-1)`` without its Python wrapper: the same sum
+    divided by the same count, bit for bit."""
+    return np.add.reduce(rows, axis=-1) / rows.shape[-1]
+
+
+def _suspicion_of(zscores: Sequence[float]) -> float:
+    """The worst alarm-side z-score of one frame (``STAT_NAMES`` order):
+    a drop in ``ssim`` / ``edge_iou``, any deviation in ``brightness`` /
+    ``variance``."""
+    ssim, iou, brightness, variance = zscores
+    return max(max(0.0, -ssim), max(0.0, -iou), abs(brightness),
+               abs(variance))
+
+
 @dataclass(frozen=True)
 class Tier0Decision:
     """One observed frame's screen verdict.
@@ -193,6 +240,17 @@ class PixelStatMonitor:
         ``drift_confirm`` consecutive frames latches ``drift_detected``
         (cleared only by :meth:`reset`).  The cascade keeps these at
         their conservative defaults and acts on ``suspicion`` instead.
+
+    Block screening: the reference frame's mean, variance, deviations,
+    span bounds and edge mask are computed once here, and every call --
+    :meth:`observe`, :meth:`observe_batch`, :meth:`peek_suspicion` and
+    the baseline calibration itself -- runs one :meth:`block_stats` over
+    its whole stack.  The rolling windows are one ``(4, <= smoothing)``
+    history array; a chunk's window means come from one gather of its
+    windows into a C-contiguous ``(4, B, smoothing)`` stack, which numpy
+    sums row by row in the order ``np.mean`` sums a single window.  A
+    frame's decision is therefore the same in any split of the stream,
+    and ``observe`` is simply the one-frame block.
     """
 
     def __init__(self, reference: np.ndarray, smoothing: int = 8,
@@ -212,16 +270,19 @@ class PixelStatMonitor:
         self.drift_z = float(drift_z)
         self.drift_confirm = int(drift_confirm)
         self.reference_frame = ref.mean(axis=0)
-        samples: Dict[str, list] = {name: [] for name in STAT_NAMES}
-        for row in ref:
-            for name, value in self._stats(row).items():
-                samples[name].append(value)
-        self._mu = {name: float(np.mean(values))
-                    for name, values in samples.items()}
-        self._sigma = {name: float(max(np.std(values), _FLOOR))
-                       for name, values in samples.items()}
-        self._windows: Dict[str, Deque[float]] = {
-            name: deque(maxlen=self.smoothing) for name in STAT_NAMES}
+        # the reference side of ssim_index / edge_iou, computed once
+        y = self.reference_frame.ravel()
+        self._ref_mean = float(y.mean())
+        self._ref_dev = y - self._ref_mean
+        self._ref_var = float((self._ref_dev * self._ref_dev).mean())
+        self._ref_max, self._ref_min = float(y.max()), float(y.min())
+        self._ref_edges = edge_mask(self.reference_frame).ravel()
+        # baselines: each statistic's mean / spread over the reference rows
+        samples = self.block_stats(ref)
+        self._mu = np.array([float(np.mean(row)) for row in samples])
+        self._sigma = np.array([float(max(np.std(row), _FLOOR))
+                                for row in samples])
+        self._history = np.empty((len(STAT_NAMES), 0))
         self._streak = 0
         self._frame_index = 0
         self._drift_frame: Optional[int] = None
@@ -240,69 +301,126 @@ class PixelStatMonitor:
         return self._frame_index
 
     # ------------------------------------------------------------------
-    def _stats(self, frame: np.ndarray) -> Dict[str, float]:
-        arr = np.asarray(frame, dtype=np.float64)
-        return {
-            "ssim": ssim_index(arr, self.reference_frame),
-            "edge_iou": edge_iou(arr, self.reference_frame),
-            "brightness": float(arr.mean()),
-            "variance": float(arr.var()),
-        }
+    def block_stats(self, frames: np.ndarray) -> np.ndarray:
+        """The four statistics of every frame of a ``(B, ...)`` stack
+        against the reference frame, as a ``(4, B)`` array in
+        :data:`STAT_NAMES` order.
 
-    @staticmethod
-    def _suspicion_of(zscores: Dict[str, float]) -> float:
-        return float(max(
-            max(0.0, -score) if name in _DROP_STATS else abs(score)
-            for name, score in zscores.items()))
+        Row by row this is bit for bit ``ssim_index(frame, ref)``,
+        ``edge_iou(frame, ref)``, ``frame.mean()`` and ``frame.var()``:
+        the row reductions run over C-contiguous rows, so numpy sums
+        each row in the order it sums one frame.
+        """
+        arr = np.ascontiguousarray(frames, dtype=np.float64)
+        if arr.shape[1:] != self.reference_frame.shape:
+            raise DimensionMismatchError(
+                f"pixel-stat screen expects frames shaped "
+                f"{self.reference_frame.shape}, got {arr.shape[1:]}")
+        b = arr.shape[0]
+        flat = arr.reshape(b, -1)
+        if flat.shape[1] == 0:
+            raise DimensionMismatchError("ssim_index needs non-empty frames")
+        mean = _row_mean(flat)
+        dev = flat - mean[:, None]
+        var = _row_mean(dev * dev)
+        cov = _row_mean(dev * self._ref_dev)
+        span = np.maximum(
+            np.maximum(np.maximum.reduce(flat, axis=1), self._ref_max)
+            - np.minimum(np.minimum.reduce(flat, axis=1), self._ref_min),
+            _FLOOR).tolist()
+        # Python's ** (C pow), not numpy's square: they differ in the
+        # last bit for some spans
+        c1 = np.array([(0.01 * s) ** 2 for s in span])
+        c2 = np.array([(0.03 * s) ** 2 for s in span])
+        mu_y = self._ref_mean
+        stats = np.empty((len(STAT_NAMES), b))
+        score = (((2.0 * mean * mu_y + c1) * (2.0 * cov + c2))
+                 / ((mean * mean + mu_y * mu_y + c1)
+                    * (var + self._ref_var + c2)))
+        # clamp to [0, 1] as Python's max / min do (a -0.0 score stays)
+        score = np.where(0.0 > score, 0.0, score)
+        stats[0] = np.where(1.0 < score, 1.0, score)
+        magnitude = _block_gradient(arr).reshape(b, -1)
+        peak = np.maximum.reduce(magnitude, axis=1)
+        edges = magnitude >= (0.25 * peak)[:, None]
+        edges &= (peak > 0.0)[:, None]      # a flat frame has no edges
+        union = np.add.reduce(edges | self._ref_edges, axis=1)
+        inter = np.add.reduce(edges & self._ref_edges, axis=1)
+        stats[1] = 1.0                      # two edgeless frames agree
+        np.divide(inter, union, out=stats[1], where=union > 0)
+        stats[2] = mean
+        stats[3] = var
+        return stats
+
+    def _rolling_zscores(self, stats: np.ndarray) -> np.ndarray:
+        """Push a ``(4, B)`` block of statistics through the rolling
+        windows; returns each frame's ``(4, B)`` window z-scores."""
+        size = self.smoothing
+        held = self._history.shape[1]
+        b = stats.shape[1]
+        seq = np.concatenate((self._history, stats), axis=1)
+        ends = np.arange(held + 1, held + b + 1)
+        means = np.empty_like(stats)
+        # frames whose window is still filling after a reset
+        filling = min(b, max(0, size - held - 1))
+        for i in range(filling):
+            means[:, i] = _row_mean(seq[:, :held + i + 1])
+        if filling < b:
+            starts = ends[filling:] - size
+            # seq[:, idx] comes back non-C-contiguous and numpy would sum
+            # it in another order than np.mean sums one window
+            windows = np.ascontiguousarray(
+                seq[:, starts[:, None] + np.arange(size)])
+            means[:, filling:] = _row_mean(windows)
+        self._history = seq[:, -size:].copy()
+        scale = self._sigma[:, None] / np.sqrt(np.minimum(ends, size))
+        return (means - self._mu[:, None]) / scale
 
     def peek_suspicion(self, frame: np.ndarray) -> float:
         """Single-frame suspicion with *no* state touched: the z-score of
         the frame's statistics against the calibrated baselines.  The
         serving layer's degraded pass uses this to keep screening frames
         it will not run the full monitor on."""
-        stats = self._stats(frame)
-        zscores = {name: (stats[name] - self._mu[name]) / self._sigma[name]
-                   for name in STAT_NAMES}
-        return self._suspicion_of(zscores)
+        stats = self.block_stats(np.asarray(frame)[None, ...])[:, 0]
+        return _suspicion_of(((stats - self._mu) / self._sigma).tolist())
 
     # ------------------------------------------------------------------
     def observe(self, pixels: np.ndarray) -> Tier0Decision:
-        stats = self._stats(pixels)
-        zscores: Dict[str, float] = {}
-        for name in STAT_NAMES:
-            window = self._windows[name]
-            window.append(stats[name])
-            scale = self._sigma[name] / float(np.sqrt(len(window)))
-            zscores[name] = (float(np.mean(window)) - self._mu[name]) / scale
-        suspicion = self._suspicion_of(zscores)
-        if suspicion >= self.drift_z:
-            self._streak += 1
-        else:
-            self._streak = 0
-        if self._streak >= self.drift_confirm and self._drift_frame is None:
-            self._drift_frame = self._frame_index
-        self._frame_index += 1
-        return Tier0Decision(drift=self.drift_detected, suspicion=suspicion,
-                             zscores=zscores)
+        return self._observe_block(np.asarray(pixels)[None, ...])[0]
 
-    def observe_batch(self, frames: np.ndarray) -> list:
-        """Observe a ``(B, ...)`` stack frame by frame.
-
-        The loop *is* the implementation, so batched observation is
-        definitionally bit-identical to sequential observation; combined
-        with :meth:`state_dict` it qualifies the screen for the kernel's
-        optimistic batched-rollback path.
-        """
+    def observe_batch(self, frames: np.ndarray) -> List[Tier0Decision]:
+        """Observe a ``(B, ...)`` stack (a lone frame is a block of one)
+        with one :meth:`block_stats` call; bit-identical to observing
+        the frames one by one."""
         arr = np.asarray(frames)
-        if arr.ndim == np.ndim(self.reference_frame):
+        if arr.ndim == self.reference_frame.ndim:
             arr = arr[None, ...]
-        return [self.observe(frame) for frame in arr]
+        if arr.shape[0] == 0:
+            return []
+        return self._observe_block(arr)
+
+    def _observe_block(self, frames: np.ndarray) -> List[Tier0Decision]:
+        zscores = self._rolling_zscores(self.block_stats(frames))
+        decisions = []
+        for column in zscores.T.tolist():
+            suspicion = _suspicion_of(column)
+            if suspicion >= self.drift_z:
+                self._streak += 1
+            else:
+                self._streak = 0
+            if (self._streak >= self.drift_confirm
+                    and self._drift_frame is None):
+                self._drift_frame = self._frame_index
+            self._frame_index += 1
+            decisions.append(Tier0Decision(
+                drift=self._drift_frame is not None, suspicion=suspicion,
+                zscores=dict(zip(STAT_NAMES, column))))
+        return decisions
 
     def reset(self) -> None:
         """Re-arm against the current reference (the
         :class:`~repro.runtime.protocols.DriftMonitor` contract)."""
-        for window in self._windows.values():
-            window.clear()
+        self._history = np.empty((len(STAT_NAMES), 0))
         self._streak = 0
         self._frame_index = 0
         self._drift_frame = None
@@ -316,8 +434,7 @@ class PixelStatMonitor:
             "frame_index": self._frame_index,
             "drift_frame": self._drift_frame,
             "streak": self._streak,
-            "windows": {name: list(window)
-                        for name, window in self._windows.items()},
+            "windows": dict(zip(STAT_NAMES, self._history.tolist())),
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -325,7 +442,7 @@ class PixelStatMonitor:
         drift_frame = state["drift_frame"]
         self._drift_frame = None if drift_frame is None else int(drift_frame)
         self._streak = int(state["streak"])
-        for name in STAT_NAMES:
-            self._windows[name].clear()
-            self._windows[name].extend(
-                float(value) for value in state["windows"][name])
+        windows = [[float(value) for value in state["windows"][name]]
+                   for name in STAT_NAMES]
+        self._history = np.array(windows, dtype=np.float64).reshape(
+            len(STAT_NAMES), -1)[:, -self.smoothing:]

@@ -191,8 +191,12 @@ def _build_inspector(bundle) -> DriftInspector:
           description="tier-0 pixel-statistic screen: SSIM / edge-IoU / "
                       "moment z-scores against the reference sample")
 def _build_pixelstat(bundle):
+    """Screen what the monitor is fed: the bundle's retained training
+    frames when it has them (raw pixels, embedded by tier 1's VAE), else
+    its feature reference sample ``sigma``."""
     from repro.detectors.tier0 import PixelStatMonitor
-    return PixelStatMonitor(bundle.sigma)
+    frames = getattr(bundle, "training_frames", None)
+    return PixelStatMonitor(bundle.sigma if frames is None else frames)
 
 
 @register("cascade-di", family="cascade",
@@ -200,8 +204,7 @@ def _build_pixelstat(bundle):
                       "suspicious windows to the Drift Inspector")
 def _build_cascade_di(bundle):
     from repro.cascade.monitor import CascadeMonitor, EscalationPolicy
-    from repro.detectors.tier0 import PixelStatMonitor
-    return CascadeMonitor(PixelStatMonitor(bundle.sigma),
+    return CascadeMonitor(_build_pixelstat(bundle),
                           _build_inspector(bundle),
                           policy=EscalationPolicy())
 

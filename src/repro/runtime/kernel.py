@@ -137,12 +137,14 @@ class RuntimeKernel:
         self.deploy(initial_model)
 
     def _default_monitor(self, bundle) -> DriftInspector:
+        config = self.config.drift_inspector
         return DriftInspector(
             bundle.sigma,
-            config=self.config.drift_inspector,
+            config=config,
             embedder=bundle.vae,
             clock=self.clock,
-            recorder=self.obs)
+            recorder=self.obs,
+            calibration=bundle.calibration(config.k, config.inductive_split))
 
     # ------------------------------------------------------------------
     @property
@@ -227,8 +229,7 @@ class RuntimeKernel:
             self.obs.gauge("pipeline.registry_size").set(len(self.registry))
         self._mode = self._MODE_MONITOR
         self._frames_since_swap = 0
-        return [self.emission.emit(self.deployed, pixels)
-                for pixels in window]
+        return self.emission.emit_batch(self.deployed, window)
 
     def step(self, item: object) -> List[FrameRecord]:
         """Push one frame; returns the records it emitted (possibly none

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cascade import (
     TIER0_OPS,
@@ -252,16 +254,39 @@ class TestRollbackAdvertisement:
         assert MonitorStage(cascade).supports_rollback
         assert zoo.get_spec("cascade-di").rollback
 
-    def test_batched_observation_is_bit_identical(self, bundle):
-        frames = gaussian_stream(0, DRIFT_SEGMENTS)
-        sequential = make_cascade(bundle)
-        expected = [sequential.observe(frame) for frame in frames]
-        batched = make_cascade(bundle)
-        decisions = []
-        for start in range(0, len(frames), 16):
-            decisions.extend(batched.observe_batch(frames[start:start + 16]))
-        assert decisions == expected
-        assert batched.state_dict() == sequential.state_dict()
+    @given(seed=st.integers(0, 500),
+           segments=st.sampled_from([DRIFT_SEGMENTS,
+                                     [(0.0, 100), (1.5, 140)],
+                                     [(0.0, 50), (3.0, 40), (0.0, 150)]]))
+    @settings(max_examples=8, deadline=None)
+    def test_batched_observation_is_bit_identical(self, bundle, seed,
+                                                  segments):
+        """Block screening at any split advances everything a frame loop
+        advances: decisions, state, the clock ledger, and the recorder's
+        logical events, counters and histograms."""
+        frames = gaussian_stream(seed, segments)
+
+        def run(split):
+            clock = SimulatedClock(PAPER_COSTS)
+            recorder = Recorder(clock=clock)
+            cascade = CascadeMonitor(PixelStatMonitor(bundle.sigma),
+                                     zoo.build("inspector", bundle),
+                                     clock=clock, recorder=recorder)
+            if split is None:
+                decisions = [cascade.observe(frame) for frame in frames]
+            else:
+                decisions = []
+                for start in range(0, len(frames), split):
+                    decisions.extend(
+                        cascade.observe_batch(frames[start:start + split]))
+            return (decisions, cascade.state_dict(), clock.state_dict(),
+                    logical_events(recorder.events),
+                    recorder.metrics.snapshot())
+
+        sequential = run(None)
+        assert sequential[1]["frames_escalated"] > 0
+        for split in (1, 3, 16, 64):
+            assert run(split) == sequential
 
     def test_cascade_over_odin_refuses_observe_batch(self, bundle):
         """ODIN has no certified snapshot-replay semantics, so a cascade

@@ -3,17 +3,22 @@
 The statistics make exact claims -- bounded in ``[0, 1]``, exactly
 ``1.0`` on identical frames, bitwise symmetric, edge masks invariant to
 a constant integer brightness offset -- so they are tested as exact
-claims, not approximations.  The monitor's batched path is pinned
-bit-identical to sequential observation (the property the kernel's
-optimistic rollback relies on).
+claims, not approximations.  The monitor computes them a chunk at a
+time; its block statistics and rolling z-scores are pinned bit for bit
+to the per-frame reference functions, and its batched path to
+sequential observation (the property the kernel's optimistic rollback
+relies on).
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.detectors.tier0 import (
     STAT_NAMES,
@@ -143,6 +148,107 @@ class TestEdgeProperties:
     def test_iou_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError, match="equally-shaped"):
             edge_iou(np.zeros(4), np.zeros(6))
+
+
+@st.composite
+def _stacks(draw):
+    """A reference sample and a frame stack of one shape: 1-D vectors of
+    length 1, 2 or 6 (floats or integers) or 2-D integer images, with
+    some rows made constant (flat)."""
+    shape = draw(st.sampled_from([(1,), (2,), (6,), (4, 4), (3, 7), (1, 5)]))
+    if len(shape) == 1 and draw(st.booleans()):
+        elements = st.floats(-1e3, 1e3, allow_subnormal=False)
+    else:
+        elements = st.integers(0, 255).map(float)
+
+    def sample(rows):
+        arr = draw(hnp.arrays(np.float64, (rows,) + shape,
+                              elements=elements))
+        flat = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+        for row, is_flat in zip(arr, flat):
+            if is_flat:
+                row[...] = row.flat[0]
+        return arr
+
+    return sample(draw(st.integers(5, 8))), sample(draw(st.integers(1, 6)))
+
+
+def _oracle_zscores(reference, frames, smoothing=8):
+    """The monitor's z-scores recomputed frame by frame from the reference
+    functions: one deque per statistic, ``np.mean`` over it."""
+    ref_frame = np.asarray(reference, dtype=np.float64).mean(axis=0)
+
+    def stats(frame):
+        return (ssim_index(frame, ref_frame), edge_iou(frame, ref_frame),
+                float(frame.mean()), float(frame.var()))
+
+    samples = list(zip(*[stats(row) for row in reference]))
+    mus = [float(np.mean(values)) for values in samples]
+    sigmas = [float(max(np.std(values), 1e-9)) for values in samples]
+    windows = [deque(maxlen=smoothing) for _ in STAT_NAMES]
+    expected = []
+    for frame in frames:
+        zscores = {}
+        for name, window, value, mu, sigma in zip(
+                STAT_NAMES, windows, stats(frame), mus, sigmas):
+            window.append(value)
+            scale = sigma / float(np.sqrt(len(window)))
+            zscores[name] = (float(np.mean(window)) - mu) / scale
+        expected.append(zscores)
+    return expected
+
+
+class TestBlockStatistics:
+    @given(data=_stacks())
+    @settings(max_examples=80, deadline=None)
+    def test_block_stats_equal_the_reference_functions(self, data):
+        """Row by row, bit for bit: ``ssim_index``, ``edge_iou``,
+        ``mean`` and ``var`` of each frame against the reference frame."""
+        reference, stack = data
+        monitor = PixelStatMonitor(reference)
+        block = monitor.block_stats(stack)
+        assert block.shape == (len(STAT_NAMES), len(stack))
+        for k, frame in enumerate(stack):
+            expected = np.array([
+                ssim_index(frame, monitor.reference_frame),
+                edge_iou(frame, monitor.reference_frame),
+                frame.mean(), frame.var()])
+            assert expected.tobytes() == block[:, k].tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 16])
+    def test_window_means_sum_in_np_mean_order(self, bundle, batch):
+        """A full window's mean must be summed in the order ``np.mean``
+        sums one window.  Gathering the windows with ``seq[:, idx]``
+        returns a non-C-contiguous stack that numpy sums in another
+        order, moving z-scores in the last bit from frame 7 on; the
+        ``np.ascontiguousarray`` in the monitor is what this pins."""
+        frames = gaussian_stream(0, [(0.0, 60), (6.0, 60)])
+        monitor = PixelStatMonitor(bundle.sigma)
+        zscores = []
+        for start in range(0, len(frames), batch):
+            zscores.extend(decision.zscores for decision in
+                           monitor.observe_batch(frames[start:start + batch]))
+        assert zscores == _oracle_zscores(bundle.sigma, frames)
+
+    def test_ssim_constants_square_like_python(self):
+        """``ssim_index`` squares ``0.03 * span`` with Python's ``**`` (C
+        ``pow``); at span 1599.5 that differs from ``x * x`` -- numpy's
+        square -- in the last bit, and the block path must follow."""
+        span = 1599.5
+        assert (0.03 * span) ** 2 != (0.03 * span) * (0.03 * span)
+        reference = np.zeros((5, 2))
+        reference[0, 0] = 1e-3
+        monitor = PixelStatMonitor(reference)
+        frame = np.array([0.0, span])
+        assert monitor.block_stats(frame[None])[0, 0] == \
+            ssim_index(frame, monitor.reference_frame)
+
+    def test_frames_of_another_shape_rejected(self, bundle):
+        monitor = PixelStatMonitor(bundle.sigma)
+        with pytest.raises(DimensionMismatchError, match="frames shaped"):
+            monitor.observe(np.zeros(DIM + 1))
+        with pytest.raises(DimensionMismatchError, match="frames shaped"):
+            monitor.observe_batch(np.zeros((3, 2, DIM)))
 
 
 class TestMonitorConstruction:

@@ -5,6 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.drift_inspector import (
+    DriftInspector,
+    DriftInspectorConfig,
+    calibrate_reference,
+)
+from repro.core.nonconformity import KNNDistance
 from repro.core.selection.registry import (
     ModelBundle,
     ModelRegistry,
@@ -51,6 +57,42 @@ class TestModelBundle:
         bundle.vae = Embedder()
         out = bundle.embed(np.zeros((3, 5)))
         assert (out == 7.0).all()
+
+
+class TestCalibration:
+    def test_computed_once_per_k_and_read_only(self):
+        bundle = make_bundle(n=20)
+        bag, scores = bundle.calibration(5)
+        again = bundle.calibration(5)
+        assert again[0] is bag and again[1] is scores
+        fresh_bag, fresh_scores = calibrate_reference(bundle.sigma,
+                                                      KNNDistance(5))
+        assert np.array_equal(bag, fresh_bag)
+        assert np.array_equal(scores, fresh_scores)
+        assert not bag.flags.writeable and not scores.flags.writeable
+        assert bundle.calibration(3)[1] is not scores
+
+    def test_reassigned_sigma_recalibrates(self):
+        bundle = make_bundle(n=20)
+        bag, _ = bundle.calibration(5)
+        bundle.sigma = bundle.sigma * 2.0
+        assert np.array_equal(bundle.calibration(5)[0], bundle.sigma[:10])
+        assert not np.array_equal(bundle.calibration(5)[0], bag)
+
+    @pytest.mark.parametrize("inductive_split", [True, False])
+    def test_shared_calibration_observes_like_a_fresh_one(self,
+                                                          inductive_split):
+        rng = np.random.default_rng(4)
+        bundle = ModelBundle(name="g", sigma=rng.normal(size=(40, 3)),
+                             reference_scores=np.ones(40))
+        frames = np.concatenate([rng.normal(size=(30, 3)),
+                                 rng.normal(3.0, 1.0, size=(30, 3))])
+        config = DriftInspectorConfig(seed=3, inductive_split=inductive_split)
+        fresh = DriftInspector(bundle.sigma, config=config)
+        shared = DriftInspector(
+            bundle.sigma, config=config,
+            calibration=bundle.calibration(config.k, inductive_split))
+        assert shared.observe_batch(frames) == fresh.observe_batch(frames)
 
 
 class TestModelRegistry:
