@@ -20,7 +20,7 @@ the martingale trajectory for diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,12 +36,15 @@ from repro.core.martingale import (
     MultiplicativeMartingale,
 )
 from repro.core.nonconformity import KNNDistance, NonconformityMeasure
-from repro.core.pvalues import PValueCalculator
+from repro.core.pvalues import PValueCalculator, SortedScores
 from repro.errors import ConfigurationError, EmptyReferenceError
 from repro.obs.metrics import DEFAULT_P_BUCKETS
 from repro.obs.recorder import NULL_RECORDER
 from repro.rng import SeedLike, ensure_rng
 from repro.sim.clock import SimulatedClock
+
+#: Calibration scores ``A_i``: an array, or sorted once and shared.
+Scores = Union[np.ndarray, SortedScores]
 
 
 @dataclass
@@ -139,8 +142,9 @@ class DriftInspector:
         When given, :meth:`observe` accepts raw frames; otherwise it expects
         pre-embedded latent vectors.
     reference_scores:
-        Optional precomputed ``A_i`` scores; computed leave-one-out from
-        ``reference`` when omitted.
+        Optional precomputed ``A_i`` scores, as an array or as a shared
+        :class:`~repro.core.pvalues.SortedScores`; computed leave-one-out
+        from ``reference`` when omitted.
     clock:
         Optional :class:`~repro.sim.clock.SimulatedClock`; when given, each
         observation charges the paper-calibrated per-frame costs.
@@ -153,20 +157,22 @@ class DriftInspector:
     calibration:
         Optional precomputed ``(bag, A_i)`` pair, exactly what
         :func:`calibrate_reference` returns for ``reference`` and this
-        configuration's measure -- typically
-        :meth:`~repro.core.selection.registry.ModelBundle.calibration`,
-        which computes it once per bundle.  It replaces the split and
-        scoring every construction would otherwise redo.
+        configuration's measure -- typically the bag of
+        :meth:`~repro.core.selection.registry.ModelBundle.calibration`
+        with ``A_i`` from
+        :meth:`~repro.core.selection.registry.ModelBundle.sorted_scores`,
+        both computed once per bundle.  It replaces the split, scoring
+        and sorting every construction would otherwise redo.
     """
 
     def __init__(self, reference: np.ndarray,
                  config: Optional[DriftInspectorConfig] = None,
                  embedder: Optional[object] = None,
-                 reference_scores: Optional[np.ndarray] = None,
+                 reference_scores: Optional[Scores] = None,
                  measure: Optional[NonconformityMeasure] = None,
                  clock: Optional[SimulatedClock] = None,
                  recorder: Optional[object] = None,
-                 calibration: Optional[Tuple[np.ndarray, np.ndarray]] = None
+                 calibration: Optional[Tuple[np.ndarray, Scores]] = None
                  ) -> None:
         self.config = config or DriftInspectorConfig()
         self.reference = np.asarray(reference, dtype=np.float64)
@@ -176,12 +182,12 @@ class DriftInspector:
         self.embedder = embedder
         self.measure = measure or KNNDistance(k=self.config.k)
         if calibration is not None:
-            self._bag, self.reference_scores = calibration
+            self._bag, scores = calibration
         else:
-            self._bag, self.reference_scores = self._prepare_reference(
-                self.reference, reference_scores)
+            self._bag, scores = self._prepare_reference(self.reference,
+                                                        reference_scores)
         rng = ensure_rng(self.config.seed)
-        self._pvalue = PValueCalculator(self.reference_scores, seed=rng)
+        self._pvalue = PValueCalculator(scores, seed=rng)
         # dedicated rng for posterior-sampled embeddings: sharing the VAE's
         # internal stream would make detection depend on everything else
         # that touched the same VAE in the process
@@ -225,17 +231,16 @@ class DriftInspector:
 
     # ------------------------------------------------------------------
     def _prepare_reference(self, reference: np.ndarray,
-                           reference_scores: Optional[np.ndarray]):
+                           reference_scores: Optional[Scores]):
         """Build the scoring bag and calibration scores ``A_i`` (see
         :func:`calibrate_reference`); supplied ``reference_scores`` are
         leave-one-out scores over the whole of ``reference``."""
         if reference_scores is not None:
-            scores = np.asarray(reference_scores, dtype=np.float64)
-            if scores.shape[0] != reference.shape[0]:
+            if len(reference_scores) != reference.shape[0]:
                 raise ConfigurationError(
-                    f"reference_scores length {scores.shape[0]} != "
+                    f"reference_scores length {len(reference_scores)} != "
                     f"reference size {reference.shape[0]}")
-            return reference, scores
+            return reference, reference_scores
         return calibrate_reference(reference, self.measure,
                                    self.config.inductive_split)
 
@@ -442,7 +447,7 @@ class DriftInspector:
         self._embed_rng.bit_generator.state = state["embed_rng"]
 
     def reset(self, reference: Optional[np.ndarray] = None,
-              reference_scores: Optional[np.ndarray] = None) -> None:
+              reference_scores: Optional[Scores] = None) -> None:
         """Restart monitoring, optionally against a new ``Sigma_T``.
 
         Called by the pipeline after a model swap: the new deployed model's
@@ -454,8 +459,8 @@ class DriftInspector:
                 raise EmptyReferenceError(
                     f"reference Sigma_T must be (N>=2, D), got {reference.shape}")
             self.reference = reference
-            self._bag, self.reference_scores = self._prepare_reference(
-                reference, reference_scores)
+            self._bag, scores = self._prepare_reference(reference,
+                                                        reference_scores)
             # rebuild the RNG streams exactly as __init__ does so an
             # in-place reference swap is indistinguishable from constructing
             # a fresh inspector -- previously the tie-breaking stream
@@ -464,7 +469,7 @@ class DriftInspector:
             # inspector and a rebuilt one (e.g. after checkpoint restore,
             # or the pipeline's _deploy) diverged
             rng = ensure_rng(self.config.seed)
-            self._pvalue = PValueCalculator(self.reference_scores, seed=rng)
+            self._pvalue = PValueCalculator(scores, seed=rng)
             self._embed_rng = np.random.default_rng(
                 rng.integers(0, 2**63 - 1))
         self.martingale = self._build_martingale()

@@ -218,20 +218,23 @@ class AdditiveMartingale:
     def update(self, p: float) -> MartingaleState:
         """Consume one p-value; returns the new state (Algorithm 1 lines
         10-14)."""
-        increment = float(self.score(p))
-        new_value = self.history[-1] + increment
+        history = self.history
+        new_value = history[-1] + float(self.score(p))
         if self.cusum_reset:
             new_value = max(0.0, new_value)
-        self.history.append(new_value)
+        history.append(new_value)
         self.step += 1
         w = min(self.window, self.step)
-        delta = abs(self.history[-1] - self.history[-1 - w])
-        drift = delta > self.threshold
+        drift = abs(new_value - history[-1 - w]) > self.threshold
+        self._trim()
+        return MartingaleState(value=new_value, drift=drift, step=self.step)
+
+    def _trim(self) -> None:
+        """Drop the oldest history entries past ``max_history``, in place
+        (the list is not reallocated once full)."""
         if self.max_history is not None and len(self.history) > self.max_history:
             # keep at least window + 1 entries so the rate test stays valid
-            keep = max(self.window + 1, self.max_history)
-            self.history = self.history[-keep:]
-        return MartingaleState(value=new_value, drift=drift, step=self.step)
+            del self.history[:-max(self.window + 1, self.max_history)]
 
     def update_batch(self, ps: np.ndarray) -> MartingaleBatch:
         """Consume a 1-D array of p-values; bit-identical to sequential
@@ -310,9 +313,7 @@ class AdditiveMartingale:
         drift = delta > self.threshold
         self.history.extend(values.tolist())  # python floats: JSON-safe
         self.step = int(steps[-1])
-        if self.max_history is not None and len(self.history) > self.max_history:
-            keep = max(self.window + 1, self.max_history)
-            self.history = self.history[-keep:]
+        self._trim()
         return MartingaleBatch(values=values, drift=drift, steps=steps)
 
     def rate(self) -> float:

@@ -95,12 +95,22 @@ class KNNDistance(NonconformityMeasure):
         self.k = k
 
     def score(self, point: np.ndarray, reference: np.ndarray) -> float:
+        """The mean of the ``K`` smallest distances from ``point``.
+
+        ``np.add.reduce`` is what ``sum`` wraps and ``sum / K`` is what
+        ``mean`` computes, and the temporary distance array is squared,
+        rooted and partitioned in place: the bits of the ``sum`` /
+        ``mean`` expression without the wrappers' per-call cost.
+        """
         ref = _check_reference(reference)
         p = _check_point(point, ref.shape[1])
-        dists = np.sqrt(((ref - p) ** 2).sum(axis=1))
+        diff = ref - p
+        np.multiply(diff, diff, out=diff)
+        dists = np.add.reduce(diff, axis=1)
+        np.sqrt(dists, out=dists)
         k = min(self.k, dists.shape[0])
-        nearest = np.partition(dists, k - 1)[:k]
-        return float(nearest.mean())
+        dists.partition(k - 1)
+        return float(np.add.reduce(dists[:k]) / k)
 
     # bound the (chunk, N, D) broadcast buffer to ~64 MB of float64
     _CHUNK_BYTES = 64 * 1024 * 1024

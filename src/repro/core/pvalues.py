@@ -11,11 +11,18 @@ the martingale tests exploit.
 
 Note the orientation: the paper counts reference scores *greater* than the
 new score, so a very strange frame (large ``a_f``) gets a p-value near 0.
+
+:func:`conformal_pvalue` and :func:`conformal_pvalues_batch` count by
+comparing against every ``A_i`` and are the reference implementations.
+:class:`PValueCalculator`, which the Drift Inspector runs, counts by binary
+search over ``A_i`` sorted once (:class:`SortedScores`) and returns the same
+bits.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from bisect import bisect_left, bisect_right
+from typing import Optional, Union
 
 import numpy as np
 
@@ -89,34 +96,76 @@ def conformal_pvalues_batch(reference_scores: np.ndarray, scores: np.ndarray,
     return (greater + us * equal) / ref.shape[0]
 
 
+class SortedScores:
+    """Calibration scores ``A_i`` sorted once, for binary-search counting.
+
+    Holds the scores in ascending order twice -- as a read-only array for
+    :func:`numpy.searchsorted` and as a tuple for :mod:`bisect` -- plus
+    ``n``, the number of scores.  A NaN score never compares greater or
+    equal, so NaNs count in ``n`` only and are left out of the sorted
+    sequences.  Immutable: one instance is built per calibration (see
+    :meth:`~repro.core.selection.registry.ModelBundle.sorted_scores`) and
+    shared by every calculator against it.
+    """
+
+    __slots__ = ("n", "array", "values")
+
+    def __init__(self, reference_scores: np.ndarray) -> None:
+        ref = np.asarray(reference_scores, dtype=np.float64).reshape(-1)
+        if ref.shape[0] == 0:
+            raise EmptyReferenceError("reference score list A_i is empty")
+        ordered = np.sort(ref[~np.isnan(ref)])
+        ordered.flags.writeable = False
+        self.n = ref.shape[0]
+        self.array = ordered
+        self.values = tuple(ordered.tolist())
+
+    def __len__(self) -> int:
+        return self.n
+
+
 class PValueCalculator:
     """Stateful p-value calculator bound to one reference score list.
 
-    Owns its RNG so repeated calls produce a reproducible stream of
-    tie-breaking uniforms.
+    Counts ``|{i : A_i > a}|`` and ``|{i : A_i == a}|`` by binary search
+    over the sorted scores -- :func:`bisect.bisect_right` /
+    :func:`~bisect.bisect_left` for one score, :func:`numpy.searchsorted`
+    for a batch -- instead of comparing against every ``A_i``.  The counts
+    are the integers :func:`conformal_pvalue` computes, and the
+    tie-breaking uniforms come from the same generator positions, so every
+    p-value is bit-identical to the reference functions'.
+    ``reference_scores`` is the raw ``A_i`` or a shared
+    :class:`SortedScores`.  Owns its RNG so repeated calls produce a
+    reproducible stream of tie-breaking uniforms.
     """
 
-    def __init__(self, reference_scores: np.ndarray, seed: SeedLike = None,
-                 tie_tolerance: float = 0.0, include_self: bool = True) -> None:
-        self.reference_scores = np.asarray(
-            reference_scores, dtype=np.float64).reshape(-1)
-        if self.reference_scores.shape[0] == 0:
-            raise EmptyReferenceError("reference score list A_i is empty")
+    def __init__(self, reference_scores: Union[np.ndarray, SortedScores],
+                 seed: SeedLike = None) -> None:
+        self.scores = (reference_scores
+                       if isinstance(reference_scores, SortedScores)
+                       else SortedScores(reference_scores))
         self._rng = ensure_rng(seed)
-        self.tie_tolerance = tie_tolerance
-        self.include_self = include_self
 
     def __call__(self, score: float) -> float:
-        return conformal_pvalue(self.reference_scores, score, rng=self._rng,
-                                tie_tolerance=self.tie_tolerance,
-                                include_self=self.include_self)
+        values = self.scores.values
+        right = bisect_right(values, score)
+        # a NaN score sorts past every value but equals none of them
+        equal = right - bisect_left(values, score) if score == score else 0
+        # random() is uniform(0, 1): the same draw, without its overhead
+        u = self._rng.random()
+        return (len(values) - right + u * (equal + 1)) / (self.scores.n + 1)
 
     def batch(self, scores: np.ndarray) -> np.ndarray:
         """P-values for an array of scores; consumes the tie-breaking
         uniform stream exactly as repeated scalar calls would."""
-        return conformal_pvalues_batch(
-            self.reference_scores, scores, rng=self._rng,
-            tie_tolerance=self.tie_tolerance, include_self=self.include_self)
+        s = np.asarray(scores, dtype=np.float64).reshape(-1)
+        ordered = self.scores.array
+        # searchsorted orders NaN last, so a NaN score counts no ties
+        right = ordered.searchsorted(s, side="right")
+        equal = right - ordered.searchsorted(s, side="left")
+        us = self._rng.random(s.shape[0])
+        return ((ordered.shape[0] - right + us * (equal + 1))
+                / (self.scores.n + 1))
 
     def rng_state(self) -> dict:
         """The tie-breaking generator's bit-generator state (JSON-safe)."""

@@ -89,7 +89,8 @@ class MSBI:
             seed=self.config.seed)
         inspector = DriftInspector(
             bundle.sigma, config=di_config, embedder=bundle.vae,
-            calibration=bundle.calibration(di_config.k))
+            calibration=(bundle.calibration(di_config.k)[0],
+                         bundle.sorted_scores(di_config.k)))
         if self.clock is not None:
             self.clock.charge("msbi_model_frame", times=frames.shape[0])
         if self.config.batched_testing:

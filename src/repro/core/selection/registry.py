@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.core.drift_inspector import calibrate_reference
 from repro.core.nonconformity import KNNDistance
+from repro.core.pvalues import SortedScores
 from repro.errors import RegistryError
 
 
@@ -67,6 +68,8 @@ class ModelBundle:
     metadata: Dict[str, object] = field(default_factory=dict)
     _calibrations: Dict[Tuple[int, bool], tuple] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    _sorted_scores: Dict[Optional[Tuple[int, bool]], tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.sigma = np.asarray(self.sigma, dtype=np.float64)
@@ -102,6 +105,29 @@ class ModelBundle:
             scores.flags.writeable = False
             cached = (self.sigma, (bag, scores))
             self._calibrations[key] = cached
+        return cached[1]
+
+    def sorted_scores(self, k: Optional[int] = None,
+                      inductive_split: bool = True) -> SortedScores:
+        """``A_i`` sorted once for the p-value search
+        (:class:`~repro.core.pvalues.SortedScores`): the scores of
+        :meth:`calibration` for ``k`` and ``inductive_split``, or with
+        ``k=None`` the bundle's own ``reference_scores``.
+
+        Memoized beside :meth:`calibration`, so every inspector built
+        from this bundle shares one read-only instance; replacing the
+        scores it was sorted from (reassigning ``sigma`` or
+        ``reference_scores``) rebuilds it.
+        """
+        if k is None:
+            key, scores = None, self.reference_scores
+        else:
+            key = (int(k), bool(inductive_split))
+            scores = self.calibration(k, inductive_split)[1]
+        cached = self._sorted_scores.get(key)
+        if cached is None or cached[0] is not scores:
+            cached = (scores, SortedScores(scores))
+            self._sorted_scores[key] = cached
         return cached[1]
 
     def embed(self, frames: np.ndarray) -> np.ndarray:

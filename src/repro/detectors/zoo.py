@@ -182,7 +182,7 @@ def build(name: str, bundle) -> DriftMonitor:
 def _build_inspector(bundle) -> DriftInspector:
     return DriftInspector(
         bundle.sigma,
-        reference_scores=bundle.reference_scores,
+        reference_scores=bundle.sorted_scores(),
         embedder=getattr(bundle, "vae", None),
         config=DriftInspectorConfig(seed=ZOO_SEED))
 

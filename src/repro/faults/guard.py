@@ -13,6 +13,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Optional, Tuple
@@ -31,6 +32,17 @@ QUARANTINED = "quarantined"
 #: Observer-only verdict: the frame failed under the ``raise`` policy and
 #: a :class:`~repro.errors.FrameValidationError` is about to propagate.
 REJECTED = "rejected"
+
+
+def _all_finite(pixels: np.ndarray) -> bool:
+    """``np.isfinite(pixels).all()``, cheaper on the common clean frame.
+
+    A NaN or infinite pixel makes the sum of squares non-finite, so a
+    finite dot product settles it in one call; a non-finite one (a huge
+    finite pixel can overflow it too) falls back to the elementwise test.
+    """
+    flat = pixels.reshape(-1)
+    return math.isfinite(flat.dot(flat)) or bool(np.isfinite(flat).all())
 
 
 @dataclass
@@ -100,14 +112,14 @@ class FrameGuard:
             # learn the stream's geometry from the first coercible frame
             # (only if it is also finite -- a corrupt first frame must not
             # poison the contract)
-            if np.isfinite(pixels).all():
+            if _all_finite(pixels):
                 self.expected_shape = pixels.shape
             elif self.policy != "raise":
                 return pixels, "nonfinite"
         if (self.expected_shape is not None
                 and pixels.shape != self.expected_shape):
             return pixels, "shape"
-        if not np.isfinite(pixels).all():
+        if not _all_finite(pixels):
             return pixels, "nonfinite"
         return pixels, None
 
@@ -164,7 +176,7 @@ class FrameGuard:
         except (TypeError, ValueError):
             return None
         if (stack.shape[1:] != self.expected_shape
-                or not np.isfinite(stack).all()):
+                or not _all_finite(stack)):
             return None
         self._admitted += stack.shape[0]
         self.last_good = stack[-1]

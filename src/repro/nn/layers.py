@@ -299,9 +299,16 @@ class Sigmoid(Layer):
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: the
-        # exponent is never positive, so nothing overflows
-        ex = np.exp(-np.abs(x))
-        out = np.where(x >= 0, 1.0, ex) / (1.0 + ex)
+        # exponent is never positive, so nothing overflows.  Each step
+        # runs in place on the temporaries it owns.
+        ex = np.abs(x)
+        if ex.dtype.kind != "f":  # integer input: float temporaries
+            ex = ex.astype(np.float64)
+        np.negative(ex, out=ex)
+        np.exp(ex, out=ex)
+        out = np.where(x >= 0, 1.0, ex)
+        np.add(ex, 1.0, out=ex)
+        np.divide(out, ex, out=out)
         if training:
             self._out = out
         return out

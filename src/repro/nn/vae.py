@@ -33,6 +33,19 @@ from repro.rng import SeedLike, ensure_rng
 _LOGVAR_CLIP = 10.0
 
 
+def _block_mean4(v: np.ndarray) -> np.ndarray:
+    """``v.mean(axis=(3, 5))`` of a ``(N, C, H/4, 4, W/4, 4)`` block view,
+    as ordered adds in place of the reduction's per-call set-up.
+
+    numpy sums each block row left to right, then adds the four row sums
+    to a +0.0 start, so the result keeps the reduction's bits (the start
+    decides the sign of an all-zero block).
+    """
+    s = ((v[..., 0] + v[..., 1]) + v[..., 2]) + v[..., 3]
+    return ((((0.0 + s[:, :, :, 0]) + s[:, :, :, 1]) + s[:, :, :, 2])
+            + s[:, :, :, 3]) / 16
+
+
 @dataclass
 class VAEConfig:
     """Configuration for :class:`VAE`.
@@ -358,15 +371,22 @@ class VAE:
         statistics before being appended to the embedding.
         """
         flat = self._flat(x)
+        n = flat.shape[0]
         c, h, w = self.config.input_shape
-        imgs = flat.reshape(flat.shape[0], c, h, w).mean(axis=1)
+        # np.add.reduce(...) / count is np.mean without its per-call
+        # wrapper.  One channel is its own mean: the row sums start from
+        # +0.0, so a -0.0 pixel sums as the mean's +0.0 would.
+        imgs = (flat.reshape(n, h, w) if c == 1
+                else np.add.reduce(flat.reshape(n, c, h, w), axis=1) / c)
         bins = self.config.profile_bins
-        rows = imgs.mean(axis=2)   # (N, H)
-        cols = imgs.mean(axis=1)   # (N, W)
+        rows = np.add.reduce(imgs, axis=2) / w   # (N, H)
+        cols = np.add.reduce(imgs, axis=1) / h   # (N, W)
 
         def binned(arr: np.ndarray, size: int) -> np.ndarray:
             if size % bins == 0:
-                return arr.reshape(arr.shape[0], bins, size // bins).mean(axis=2)
+                per_bin = size // bins
+                return np.add.reduce(
+                    arr.reshape(arr.shape[0], bins, per_bin), axis=2) / per_bin
             # uneven sizes: interpolate onto the bin grid
             grid = np.linspace(0, size - 1, bins)
             idx = np.clip(np.round(grid).astype(int), 0, size - 1)
@@ -391,10 +411,11 @@ class VAE:
         if factor > 1:
             n = flat.shape[0]
             shape = (n, c, h // factor, factor, w // factor, factor)
-            r = recon.reshape(shape).mean(axis=(3, 5))
-            f = flat.reshape(shape).mean(axis=(3, 5))
-            return ((r - f) ** 2).mean(axis=(1, 2, 3))
-        return ((recon - flat) ** 2).mean(axis=1)
+            r = _block_mean4(recon.reshape(shape))
+            f = _block_mean4(flat.reshape(shape))
+            return (np.add.reduce((r - f) ** 2, axis=(1, 2, 3))
+                    / (c * (h // factor) * (w // factor)))
+        return np.add.reduce((recon - flat) ** 2, axis=1) / flat.shape[1]
 
     def _train_step(self, batch: np.ndarray, optimizer: Adam) -> Tuple[float, float]:
         cfg = self.config

@@ -138,13 +138,15 @@ class RuntimeKernel:
 
     def _default_monitor(self, bundle) -> DriftInspector:
         config = self.config.drift_inspector
+        k, split = config.k, config.inductive_split
         return DriftInspector(
             bundle.sigma,
             config=config,
             embedder=bundle.vae,
             clock=self.clock,
             recorder=self.obs,
-            calibration=bundle.calibration(config.k, config.inductive_split))
+            calibration=(bundle.calibration(k, split)[0],
+                         bundle.sorted_scores(k, split)))
 
     # ------------------------------------------------------------------
     @property
@@ -330,6 +332,8 @@ class RuntimeKernel:
         if not self.started:
             self.start()
         items = list(items)
+        if len(items) == 1:
+            return self.step(items[0])
         records: List[FrameRecord] = []
         i = 0
         while i < len(items):

@@ -58,7 +58,8 @@ class MonitorStage:
     # ------------------------------------------------------------------
     def observe(self, pixels: np.ndarray) -> bool:
         """Feed one admitted frame; returns the normalized drift flag."""
-        return self.drift_of(self.monitor.observe(pixels))
+        decision = self.monitor.observe(pixels)
+        return bool(getattr(decision, "drift", decision))
 
     def observe_batch(self, pixels: np.ndarray) -> List[bool]:
         """Feed a ``(B, ...)`` stack; returns per-frame drift flags."""

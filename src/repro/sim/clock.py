@@ -49,9 +49,15 @@ class SimulatedClock:
         ``n`` single charges -- batched components must not perturb the
         simulated-time accounting of their sequential equivalents.
         """
+        cost = self.profile.cost(operation)
+        if times == 1:
+            # the common one-frame charge, without the loop; 0.0 + cost
+            # is the loop's total
+            self._ledger[operation] += cost
+            self._op_counts[operation] += 1
+            return 0.0 + cost
         if times < 0:
             raise ConfigurationError(f"times must be non-negative, got {times}")
-        cost = self.profile.cost(operation)
         total = 0.0
         for _ in range(times):
             self._ledger[operation] += cost

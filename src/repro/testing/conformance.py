@@ -164,9 +164,11 @@ def check_seed_determinism(spec, bundle, frames=None) -> None:
     monitor whose *internal routing* consumes hidden RNG (e.g. a cascade
     escalating at random) can emit coincidentally equal drift flags while
     its inner detectors saw different frame subsequences; their
-    accumulated state (a martingale, a window buffer) is a continuous
-    function of exactly which frames were observed, so it diverges with
-    certainty.
+    accumulated state (a martingale, a window buffer) depends on exactly
+    which frames were observed, so it diverges whenever the two builds
+    routed different frames.  Two draws of hidden entropy can still route
+    the same frames and end in the same state, so the check catches such
+    a monitor with high probability, not with certainty.
     """
     frames = frames if frames is not None else gaussian_stream(
         DETECT_SEED, list(DETECT_SEGMENTS))

@@ -12,6 +12,38 @@ from repro.core.nonconformity import KNNDistance, MahalanobisDistance, MeanDista
 from repro.errors import ConfigurationError, DimensionMismatchError, EmptyReferenceError
 
 
+#: Coordinates with signed zeros, infinities and NaN beside ordinary values.
+_coords = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+                    st.floats(-1e6, 1e6))
+
+
+def _mean_oracle(point, reference, k):
+    """The expression :meth:`KNNDistance.score` replaced."""
+    dists = np.sqrt(((reference - point) ** 2).sum(axis=1))
+    k = min(k, dists.shape[0])
+    return float(np.partition(dists, k - 1)[:k].mean())
+
+
+@given(reference=arrays(np.float64,
+                        st.tuples(st.integers(1, 12), st.integers(1, 4)),
+                        elements=_coords),
+       k=st.integers(1, 8), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_knn_score_matches_mean_oracle(reference, k, data):
+    """``np.add.reduce`` and an in-place partition give the bits of the
+    ``sum``/``partition``/``mean`` expression, duplicates, fewer points
+    than ``K`` and non-finite coordinates included.  Dividing by the
+    configured ``K`` when the reference has fewer points fails this."""
+    point = data.draw(arrays(np.float64, reference.shape[1],
+                             elements=_coords))
+    if data.draw(st.booleans()):
+        point = reference[0].copy()  # a point at zero distance
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = KNNDistance(k).score(point, reference)
+        expected = _mean_oracle(point, reference, k)
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
 class TestKNNDistance:
     def test_score_matches_manual_computation(self):
         reference = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]])

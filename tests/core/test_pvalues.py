@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pvalues import PValueCalculator, conformal_pvalue
+from repro.core.pvalues import (
+    PValueCalculator,
+    SortedScores,
+    conformal_pvalue,
+    conformal_pvalues_batch,
+)
 from repro.errors import EmptyReferenceError
 
 
@@ -92,3 +97,59 @@ class TestPValueCalculator:
     def test_empty_reference_rejected(self):
         with pytest.raises(EmptyReferenceError):
             PValueCalculator(np.array([]))
+
+
+#: Values that stress the binary search: signed zeros, infinities, NaN,
+#: and a few repeats so duplicated A_i and exact ties are common.
+_SPECIAL = [0.0, -0.0, 1.0, 2.5, np.inf, -np.inf, np.nan]
+_scores = st.one_of(st.sampled_from(_SPECIAL),
+                    st.floats(-10.0, 10.0, allow_nan=False))
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestBinarySearchMatchesReference:
+    """:class:`PValueCalculator` counts ``A_i > a`` and ``A_i == a`` by
+    binary search over ``A_i`` sorted once; the comparison-counting
+    :func:`conformal_pvalue` / :func:`conformal_pvalues_batch` are the
+    reference.  Every p-value keeps its bits and the tie-breaking
+    generator ends where the reference's does.  ``bisect_left`` in place
+    of ``bisect_right`` (or ``side="left"`` for the right count) and a
+    NaN score counted as tying every ``A_i`` both fail these."""
+
+    @given(reference=st.lists(_scores, min_size=1, max_size=40),
+           scores=st.lists(_scores, max_size=30),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_scalar_matches_reference(self, reference, scores, seed):
+        ref = np.asarray(reference)
+        scores = scores + reference[:5]  # scores equal to an A_i tie
+        calc = PValueCalculator(ref, seed=seed)
+        rng = np.random.default_rng(seed)
+        expected = [conformal_pvalue(ref, s, rng=rng) for s in scores]
+        assert _bits([calc(s) for s in scores]) == _bits(expected)
+        assert calc.rng_state() == rng.bit_generator.state
+
+    @given(reference=st.lists(_scores, min_size=1, max_size=40),
+           scores=st.lists(_scores, max_size=30),
+           cut=st.integers(0, 30),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_batch_matches_reference(self, reference, scores, cut, seed):
+        ref = np.asarray(reference)
+        scores = np.asarray(scores + reference[:5], dtype=np.float64)
+        # two batches (either may be empty) share one generator
+        calc = PValueCalculator(SortedScores(ref), seed=seed)
+        rng = np.random.default_rng(seed)
+        got = [calc.batch(scores[:cut]), calc.batch(scores[cut:])]
+        expected = [conformal_pvalues_batch(ref, scores[:cut], rng=rng),
+                    conformal_pvalues_batch(ref, scores[cut:], rng=rng)]
+        assert _bits(np.concatenate(got)) == _bits(np.concatenate(expected))
+        assert calc.rng_state() == rng.bit_generator.state
+
+    def test_sorted_scores_are_read_only_and_count_nan(self):
+        shared = SortedScores(np.array([3.0, np.nan, 1.0, 1.0]))
+        assert shared.values == (1.0, 1.0, 3.0) and len(shared) == 4
+        assert not shared.array.flags.writeable

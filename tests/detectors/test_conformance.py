@@ -4,6 +4,8 @@ certifies nothing)."""
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -132,21 +134,30 @@ class TestKitCatchesViolations:
         """A cascade whose *routing* gambles: the drift flags of two
         same-bundle builds can coincide by luck, but the tier-1 detector
         accumulates state over the escalated subsequence, so the kit's
-        final-state comparison catches the hidden entropy regardless."""
+        final-state comparison catches the hidden entropy."""
         from repro.cascade import CascadeMonitor, EscalationPolicy
         from repro.detectors.tier0 import PixelStatMonitor
 
+        builds = itertools.count()
+
         class EntropicPolicy(EscalationPolicy):
+            def __init__(self, seed):
+                super().__init__()
+                self._jitter = np.random.default_rng(seed)
+
             def decide(self, suspicion):
-                # a fresh OS-seeded generator per decision: escalation
-                # consumes entropy no harness can replay
-                jitter = float(np.random.default_rng().uniform(-4.0, 4.0))
+                # escalation consumes a stream the harness never sees
+                jitter = float(self._jitter.uniform(-4.0, 4.0))
                 return super().decide(suspicion + jitter)
 
         def factory(b):
+            # each build gets its own jitter stream, seeded from a counter
+            # so the test is deterministic: OS-seeded streams sometimes
+            # escalated the same frames in both builds, whose final states
+            # then matched and left nothing to catch
             return CascadeMonitor(PixelStatMonitor(b.sigma),
                                   zoo.build("inspector", b),
-                                  policy=EntropicPolicy())
+                                  policy=EntropicPolicy(next(builds)))
 
         spec = DetectorSpec(name="rng-cascade", family="broken",
                             description="broken", factory=factory)

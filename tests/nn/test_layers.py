@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.errors import ConfigurationError, DimensionMismatchError, NotFittedError
 from repro.nn.layers import (
@@ -166,6 +169,22 @@ class TestActivationValues:
         out = Sigmoid().forward(np.array([[-1000.0, 0.0, 1000.0]]))
         np.testing.assert_allclose(out, [[0.0, 0.5, 1.0]], atol=1e-12)
         assert np.isfinite(out).all()
+
+    @given(x=arrays(np.float64, st.tuples(st.integers(1, 4),
+                                          st.integers(1, 16)),
+                    elements=st.one_of(
+                        st.sampled_from([0.0, -0.0, 800.0, -800.0, np.inf,
+                                         -np.inf, np.nan]),
+                        st.floats(-50.0, 50.0))))
+    @settings(max_examples=200, deadline=None)
+    def test_sigmoid_in_place_keeps_the_bits(self, x):
+        """The in-place forward equals the expression it replaced, byte
+        for byte; ``1 / (1 + exp(-x))`` for every ``x`` fails this."""
+        with np.errstate(invalid="ignore"):
+            ex = np.exp(-np.abs(x))
+            expected = np.where(x >= 0, 1.0, ex) / (1.0 + ex)
+            got = Sigmoid().forward(x)
+        assert got.tobytes() == expected.tobytes()
 
     def test_tanh_is_odd(self, rng):
         x = rng.normal(size=(3, 3))

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.errors import ConfigurationError, DimensionMismatchError, NotFittedError
-from repro.nn.vae import VAE, VAEConfig
+from repro.nn.vae import VAE, VAEConfig, _block_mean4
 
 
 def small_config(**kwargs):
@@ -200,3 +203,76 @@ class TestConfigValidation:
     def test_invalid_config(self, kwargs):
         with pytest.raises(ConfigurationError):
             small_config(**kwargs)
+
+
+#: Pixels at the extremes the reductions must carry through unchanged.
+_pixels = st.one_of(
+    st.sampled_from([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan]),
+    st.floats(0.0, 1.0))
+
+
+@st.composite
+def _stacks(draw, channels):
+    """``(N, C, 8, 8)`` frame stacks: mixed pixels or constant frames."""
+    shape = (draw(st.integers(1, 3)), channels, 8, 8)
+    if draw(st.booleans()):
+        return np.full(shape, draw(_pixels))
+    return draw(arrays(np.float64, shape, elements=_pixels))
+
+
+def _same_bits(got, expected):
+    """Equal bytes wherever the reference is a number, NaN wherever it is
+    NaN: which NaN payload survives depends on the order the hardware
+    meets two NaNs, which numpy's compiled loops do not pin."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    nan = np.isnan(expected)
+    assert got.shape == expected.shape
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+
+def _reference_profiles(vae, x):
+    """The ``np.mean`` expression :meth:`VAE._profiles` replaced."""
+    c, h, w = vae.config.input_shape
+    bins = vae.config.profile_bins
+    imgs = x.reshape(x.shape[0], c, h, w).mean(axis=1)
+    rows, cols = imgs.mean(axis=2), imgs.mean(axis=1)
+    return np.hstack([
+        rows.reshape(rows.shape[0], bins, h // bins).mean(axis=2),
+        cols.reshape(cols.shape[0], bins, w // bins).mean(axis=2)])
+
+
+def _reference_recon_error(vae, x, mean):
+    """The ``np.mean`` expression :meth:`VAE._recon_error` replaced."""
+    c, h, w = vae.config.input_shape
+    shape = (x.shape[0], c, h // 4, 4, w // 4, 4)
+    r = vae.decode(mean).reshape(shape).mean(axis=(3, 5))
+    f = x.reshape(shape).mean(axis=(3, 5))
+    return ((r - f) ** 2).mean(axis=(1, 2, 3))
+
+
+class TestOneFrameReductions:
+    """The one-frame embedding's reductions run as ``np.add.reduce`` and
+    ordered adds in place of ``np.mean``; each keeps the bits of the
+    expression it replaced.  Adding the 4x4 block's row sums in another
+    order, or dropping the channel mean of a multi-channel frame, fails
+    these."""
+
+    @given(x=_stacks(1))
+    @settings(max_examples=150, deadline=None)
+    def test_block_mean_matches_mean(self, x):
+        blocks = x.reshape(x.shape[0], 1, 2, 4, 2, 4)
+        with np.errstate(invalid="ignore", over="ignore"):
+            _same_bits(_block_mean4(blocks), blocks.mean(axis=(3, 5)))
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_profiles_and_recon_error_match_mean(self, channels, data):
+        vae = VAE(small_config(input_shape=(channels, 8, 8)))
+        x = data.draw(_stacks(channels))
+        with np.errstate(invalid="ignore", over="ignore"):
+            mean, _ = vae.encode(x)
+            _same_bits(vae._profiles(x), _reference_profiles(vae, x))
+            _same_bits(vae._recon_error(x, mean),
+                       _reference_recon_error(vae, x, mean))
